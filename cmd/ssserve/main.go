@@ -1,9 +1,9 @@
 // Command ssserve runs the serialization-sets serving tier: an HTTP
 // frontend that hashes each request's session key to a serialization set
-// and delegates its handler there, so concurrent connections get per-key
-// causal order, skewed keys are rebalanced by whole-set stealing, and a
-// panicking request is contained — its key fails fast for the rest of the
-// epoch while every other key keeps serving.
+// and runs the requests of one set one at a time, in arrival order, so
+// concurrent connections get per-key causal order, a slow key delays only
+// its own requests, and a panicking request is contained — its key fails
+// fast for the rest of the epoch while every other key keeps serving.
 //
 // The built-in handler is a per-session counter/KV API, enough to
 // exercise and demonstrate the ordering and containment properties:
@@ -14,13 +14,12 @@
 //	any  + header X-Chaos-Panic: 1   the handler panics (chaos injection)
 //	GET  /metrics               Prometheus text exposition
 //	GET  /healthz               200, or 503 while draining
-//	POST /admin/resize?n=N      resize the delegate pool (requires -max-delegates)
 //
 // The session key comes from the X-Session-Key header or the key query
 // parameter. On SIGTERM/SIGINT the server drains: the listener stops
-// accepting, admitted requests are served to completion, the final epoch
-// barrier runs, and stragglers past -drain-timeout are reported with the
-// runtime's scheduler dump.
+// accepting, admitted requests are served to completion, durable sessions
+// commit a final snapshot, and stragglers past -drain-timeout are
+// reported.
 package main
 
 import (
@@ -44,19 +43,12 @@ import (
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
-		delegates     = flag.Int("delegates", 0, "delegate contexts (0 = GOMAXPROCS-1)")
 		shards        = flag.Int("shards", 8, "latency-metric set shards")
 		maxInflight   = flag.Int("max-inflight", 1024, "admission budget (503 above it)")
 		rate          = flag.Float64("rate", 0, "per-key token-bucket rate, requests/sec (0 = off)")
 		burst         = flag.Float64("burst", 10, "per-key token-bucket burst")
 		epochInterval = flag.Duration("epoch-interval", 100*time.Millisecond, "isolation-epoch rotation period")
 		drainTimeout  = flag.Duration("drain-timeout", 5*time.Second, "graceful-drain straggler deadline")
-
-		// Elastic pool.
-		maxDelegates = flag.Int("max-delegates", 0, "delegate pool capacity; enables /admin/resize and live resizing (0 = fixed pool)")
-		minDelegates = flag.Int("min-delegates", 1, "autoscaler floor (manual resizes may go below)")
-		autoscale    = flag.Bool("autoscale", false, "scale the pool at epoch rotations from queue occupancy (requires -max-delegates)")
-		cooldown     = flag.Int("autoscale-cooldown", 3, "rotations between autoscaler steps")
 
 		// Durable sessions.
 		stateDir  = flag.String("state-dir", "", "session state directory: snapshots + journal, recovered at boot (empty = sessions die with the process)")
@@ -99,23 +91,18 @@ func main() {
 	}
 
 	cfg := serve.Config{
-		Delegates:         *delegates,
-		MaxDelegates:      *maxDelegates,
-		MinDelegates:      *minDelegates,
-		Autoscale:         *autoscale,
-		AutoscaleCooldown: *cooldown,
-		Shards:            *shards,
-		MaxInflight:       *maxInflight,
-		Rate:              *rate,
-		Burst:             *burst,
-		EpochInterval:     *epochInterval,
-		DrainTimeout:      *drainTimeout,
-		RequestTimeout:    *reqTimeout,
-		RetryMax:          *retries,
-		RetryBase:         *retryBase,
-		SlowThreshold:     *slowThreshold,
-		SlowTrips:         *slowTrips,
-		Logf:              log.Printf,
+		Shards:         *shards,
+		MaxInflight:    *maxInflight,
+		Rate:           *rate,
+		Burst:          *burst,
+		EpochInterval:  *epochInterval,
+		DrainTimeout:   *drainTimeout,
+		RequestTimeout: *reqTimeout,
+		RetryMax:       *retries,
+		RetryBase:      *retryBase,
+		SlowThreshold:  *slowThreshold,
+		SlowTrips:      *slowTrips,
+		Logf:           log.Printf,
 	}
 	if backend != nil {
 		cfg.Backend = backend
@@ -161,7 +148,7 @@ func main() {
 
 	// Drain order: stop accepting and wait for inflight HTTP handlers
 	// first (they need the router alive to answer), then drain the router
-	// itself — final barrier, sweep, terminate.
+	// itself — every admitted request answered, final snapshot committed.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout+time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
@@ -248,9 +235,9 @@ func parseFlap(s string) (from, to uint64, err error) {
 	return from, to, nil
 }
 
-// handle is the per-session request handler, executed on a delegate
-// context with the session's set serializing it against every other
-// request for the same key.
+// handle is the per-session request handler, executed on the request's
+// goroutine while it holds its key's turn, which serializes it against
+// every other request for the same key.
 func handle(s *serve.Session, r *http.Request) (int, string) {
 	if r.Header.Get("X-Chaos-Panic") == "1" {
 		panic(fmt.Sprintf("chaos: injected panic for key %q (seq %d)", s.Key, s.Seq))

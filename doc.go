@@ -335,42 +335,49 @@
 // contained panic pin its captured stack forever. Evicted records are
 // counted in Stats.DroppedFaults; the Panics counter and the poisoning
 // discipline are unaffected, and Err/SetErr describe the most recent
-// faults. SetErr is indexed per set — O(faults on that set) — because the
-// serving tier calls it on every failed request.
+// faults. SetErr is indexed per set — O(faults on that set) — so a caller
+// can afford it on every failed operation.
 //
 // # Serving tier
 //
 // internal/serve and cmd/ssserve put the model in front of real traffic:
 // serialization sets as a session-affinity request router. Each request's
 // key (user id, session, tenant) hashes to a serialization set via
-// StringSet, and the request's handler is delegated to that set — so
-// requests for one key execute in arrival order on one delegate at a time
-// (per-key causal order, no per-session locks), requests for different
-// keys run concurrently across the pool, and the whole-set stealer
-// rebalances hot keys under skew. One bad request maps to one failed
-// session: a panicking handler poisons only its key's set for the epoch
-// (those requests fail fast, 500 with the fault attached via SetErr)
+// StringSet, and the requests of one set run one at a time in the order
+// the router delivered them — per-key causal order, no per-session locks —
+// while requests for different keys run concurrently. One bad request
+// maps to one failed session: a panicking handler poisons only its key
+// for the epoch (those requests fail fast, 500 with the fault attached)
 // while every other key keeps serving.
 //
-// The architecture honors the model's central discipline — the program
-// context is the sole caller of Runtime methods — by making the router
-// goroutine the program context: HTTP handler goroutines pass jobs over
-// one bounded channel and park on per-job done channels; the router
-// delegates each job to its key's set and rotates isolation epochs on a
-// timer. Rotation is the serving repair loop: the barrier proves the pool
-// quiescent, jobs whose delegations were dropped on a poison seam are
-// swept to definitive 500s (after the barrier the sweep is exact, not
-// heuristic), the Stats snapshot republishes for the metrics scrape, and
-// BeginIsolation clears the poison so faulted keys heal. Admission
-// control (inflight budget, bounded queue) and per-key token buckets
-// repel overload on the handler goroutines before the router is touched;
-// graceful drain stops admission, serves everything accepted, and reports
-// stragglers with Runtime.SchedDump. Histogram (fixed-bucket, atomic,
-// allocation-free Observe) carries the per-set latency and queue-depth
-// metrics; Runtime.QueueDepths exposes per-delegate backlogs to the
-// scrape. The serving stress tests assert per-key ordering under skewed
-// concurrent load, drain completeness (no accepted request unanswered),
-// and poisoned-session isolation at the HTTP surface.
+// The tier keeps the model's ordering rule but not its delegate pool. A
+// serving request spends most of its life blocked — on an upstream, a
+// disk, a deliberately slow handler — and a request that blocks on a
+// delegate blocks every set queued behind it, while the epoch barrier
+// waits for it before any key is delivered again. So each request runs on
+// its own HTTP handler goroutine, and the router goroutine is only the
+// per-key sequencer: it links each job onto its session's turn chain (the
+// job waits for the completion signal of the key's newest granted
+// attempt, and its own completion becomes the next link) and grants the
+// job back to its goroutine, which waits its turn, runs the backend, and
+// releases the turn. A slow key delays only its own later requests — the
+// set blocked on I/O parks the set, not a delegate. Faults are recovered
+// on the request goroutine and recorded, value and stack, in the tier's
+// per-epoch poison table before the turn is released, so every request
+// chained behind the fault is dropped with it.
+//
+// Rotation is the serving repair loop, and it waits for nothing: it swaps
+// in an empty poison table so faulted keys heal, the slow-key watchdog
+// heals, and idle rate-limit buckets are evicted. Admission control
+// (inflight budget, bounded queue) and per-key token buckets repel
+// overload on the handler goroutines before the router is touched;
+// graceful drain stops admission and serves everything accepted.
+// Histogram (fixed-bucket, atomic, allocation-free Observe) carries the
+// per-set latency and queue-depth metrics. The serving stress tests assert
+// per-key ordering under skewed concurrent load, drain completeness (no
+// accepted request unanswered), poisoned-session isolation at the HTTP
+// surface, and that a blocked handler holds up neither other keys nor
+// rotation.
 //
 // Between the router and the work it runs sits the robustness layer. A
 // pluggable Backend abstraction executes requests — in-process handlers,
@@ -379,16 +386,15 @@
 // failures open it, a cooldown later exactly one half-open probe decides
 // reclose-or-reopen). Per-request deadlines are fixed once at admission
 // and enforced at every seam where the tier holds the request: on
-// delivery at the router, at the queue front when slower epoch-mates
-// consumed the budget, inside the backend via context deadline, and at
-// the epoch-rotation sweep — so an expired request always resolves to a
-// definitive 504 and never parks a connection, with the sweep as the
-// backstop that makes the guarantee unconditional. Idempotent requests
-// that hit a backend failure retry with capped, deterministically
-// jittered exponential backoff, re-entering the router so attempts stay
-// serialized with the key's other requests; and a slow-key watchdog
-// degrades a persistently slow key to 503 sheds for the remainder of the
-// epoch (healed at rotation, the same discipline as poison). The
+// delivery at the router, while the request waits for its key's turn,
+// and inside the backend via context deadline — so an expired request
+// always resolves to a definitive 504 and never parks a connection.
+// Idempotent requests that hit a backend failure retry with capped,
+// deterministically jittered exponential backoff, relinked by the router
+// at the key's chain tail so attempts stay serialized with the key's
+// other requests; and a slow-key watchdog degrades a persistently slow
+// key to 503 sheds for the remainder of the epoch (healed at rotation,
+// the same discipline as poison). The
 // adversarial load harness (internal/loadgen, cmd/ssload) closes the
 // loop by driving a live server with skewed deterministic traffic
 // against chaos-injected backends (internal/chaos latency spikes,
@@ -400,28 +406,28 @@
 // # Durable sessions
 //
 // The serving tier's persistence layer (internal/durable, wired in
-// internal/serve) leans on the same barrier that powers fault repair:
-// EndIsolation proves the delegate pool quiescent, which makes the
-// rotation instant a consistent cut of all session state — no request is
-// half-applied anywhere, and per-key causal order means the cut contains
-// every effect of each acknowledged request or none of its successors.
-// So the router captures dirty sessions at the barrier and hands them to
-// a write-behind snapshot writer (checksummed records, write-temp-sync-
-// rename commit, generational GC), swapping in the next epoch's journal
-// at the same instant so the closing journal is provably a subset of the
-// snapshot being written. Between rotations each executed request
-// appends its session's post-state to the journal before its response is
-// released; the fsync policy (per-request, per-rotation, or never)
-// buys the operator an explicit acked-loss bound under kill -9. Boot
-// recovery walks back to the newest valid snapshot, replays journal
-// generations on top (monotonic by sequence, so overlap is harmless),
-// truncates a torn tail at the first bad frame, and commits a fresh boot
-// snapshot before admission. Failures degrade rather than wedge: a
-// failed commit or append is counted and serving continues on the
-// previous recovery point. The crash-restart drill (ssload -recovery)
-// proves the bounds against real processes: SIGKILL mid-traffic,
-// restart on the same state dir, and per-key assertions that no
-// acknowledged sequence regressed past the policy's floor.
+// internal/serve) needs a consistent cut of all session state at every
+// rotation, and must take it without waiting for a running backend. Each
+// executed request therefore encodes its session's post-state and, under
+// a short read lock, appends those bytes to the journal and stores them on
+// its session — before its response is released. The rotation takes the
+// write lock, swaps in the next generation's journal, and collects the
+// stored records: per-key turn order means each record holds every effect
+// of its key's acknowledged requests up to that one, and the lock means
+// every record in the closing journal is also in the snapshot being
+// written. A write-behind snapshot writer commits the capture
+// (checksummed records, write-temp-sync-rename commit, generational GC);
+// the fsync policy (per-request, per-rotation, or never) buys the
+// operator an explicit acked-loss bound under kill -9. Boot recovery
+// walks back to the newest valid snapshot, replays journal generations on
+// top (monotonic by sequence, so overlap is harmless), truncates a torn
+// tail at the first bad frame, and commits a fresh boot snapshot before
+// admission. Failures degrade rather than wedge: a failed commit or
+// append is counted and serving continues on the previous recovery point.
+// The crash-restart drill (ssload -recovery) proves the bounds against
+// real processes: SIGKILL mid-traffic, restart on the same state dir, and
+// per-key assertions that no acknowledged sequence regressed past the
+// policy's floor.
 //
 // # Elastic runtime
 //
@@ -462,16 +468,7 @@
 // balance) and are respawned on the next scale-up, seeding their
 // execution counters from the frozen values.
 //
-// The serving tier turns this into autoscaling: the router samples queue
-// occupancy just before each rotation's barrier (the closing epoch's
-// backlog is the demand signal), folds it into an EWMA, and steps the
-// pool by one delegate when occupancy leaves the [0.5, 2.0]
-// ops-per-delegate band, clamped to [MinDelegates, MaxDelegates] with a
-// cooldown in rotations so one burst cannot slam the pool to a rail.
-// POST /admin/resize records a manual target that wins over the
-// autoscaler's next decision; both apply at the rotation, so a resize is
-// invisible to request ordering by construction. The resize determinism
-// tests pin the strongest form of that claim: a run whose pool is resized
-// up and down mid-stream produces byte-identical per-set operation logs
-// to a fixed-size run.
+// The resize determinism tests pin the strongest form of the safety
+// claim: a run whose pool is resized up and down mid-stream produces
+// byte-identical per-set operation logs to a fixed-size run.
 package prometheus

@@ -3,26 +3,26 @@
 // in-process, no sockets needed.
 //
 // Every request carries a session key; the key hashes to a serialization
-// set; the handler for the request is delegated to that set. The model
-// then gives the serving property for free: requests for one key execute
-// in arrival order on one delegate at a time — per-key causal order with
-// no per-session locks — while requests for different keys run
-// concurrently across the delegate pool, rebalanced by whole-set stealing
-// when the key distribution skews.
+// set; the requests of one set execute one at a time, in arrival order —
+// per-key causal order with no per-session locks — while requests for
+// different keys run concurrently, each on its own goroutine, so a slow
+// key never holds up the others.
 //
-// The program runs three phases and prints what the runtime observed:
+// The program runs three phases and prints what the server observed:
 //
 //  1. Skewed load: concurrent clients hammer two hot keys and a spread of
 //     cold ones; each response returns the session's sequence number and
 //     every client asserts it only ever sees its key's sequence increase.
+//
 //  2. Chaos: one request for the key "unlucky" panics inside its handler.
 //     The panic is contained — that request and the key's follow-ups this
 //     epoch fail fast with the fault attached, siblings keep serving, and
 //     the next epoch rotation heals the key.
-//  3. Graceful drain: the server stops admitting, serves everything
-//     already accepted, runs the final epoch barrier, and terminates.
 //
-//	go run ./examples/serving
+//  3. Graceful drain: the server stops admitting, serves everything
+//     already accepted, and stops its router.
+//
+//     go run ./examples/serving
 package main
 
 import (
@@ -49,7 +49,6 @@ func request(h http.Handler, key string, chaos bool) (int, string) {
 
 func main() {
 	srv, err := serve.New(serve.Config{
-		Delegates:     4,
 		EpochInterval: 10 * time.Millisecond,
 		Handler: func(s *serve.Session, r *http.Request) (int, string) {
 			if r.Header.Get("X-Chaos-Panic") == "1" {
@@ -116,12 +115,12 @@ func main() {
 	}
 	fmt.Printf("poisoned key healed by epoch rotation: %v\n", healed)
 
-	// Phase 3: graceful drain, then the runtime's own account of the run.
+	// Phase 3: graceful drain, then the server's own account of the run.
 	if err := srv.Drain(); err != nil {
 		fmt.Printf("drain: %v\n", err)
 		return
 	}
 	st := srv.Stats()
-	fmt.Printf("drained cleanly: epochs=%d delegations=%d steals=%d panics=%d dropped=%d\n",
-		st.Epochs, st.Delegations, st.Steals, st.Panics, st.DroppedOps)
+	fmt.Printf("drained cleanly: epochs=%d panics=%d dropped=%d\n",
+		st.Epochs, st.Panics, st.Dropped)
 }

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -345,14 +344,14 @@ func Ablation(w io.Writer, opts Options) error {
 
 	fmt.Fprintf(w, "\nA8. serving tier (session-affinity router, skewed keys)\n")
 	// Concurrent clients drive the internal/serve router with a 90/10
-	// hot/cold key distribution — the adversarial shape for the stealing
-	// machinery, since the hot keys' sets all hash wherever they hash.
-	// The chaos row poisons one hot key mid-run: its requests must fail
-	// fast (500s with the fault attached) while every other key keeps
-	// serving, and the epoch rotation must heal it. A wedged drain would
-	// hang the table, so completing at all is part of the assertion.
-	fmt.Fprintf(w, "%-14s %10s %8s %8s %8s %8s %8s\n",
-		"workload", "ms", "served", "faulted", "rejects", "steals", "panics")
+	// hot/cold key distribution: the hot keys' requests serialize on their
+	// keys while the cold keys run beside them. The chaos row poisons one
+	// hot key mid-run: its requests must fail fast (500s with the fault
+	// attached) while every other key keeps serving, and the epoch
+	// rotation must heal it. A wedged drain would hang the table, so
+	// completing at all is part of the assertion.
+	fmt.Fprintf(w, "%-14s %10s %8s %8s %8s %8s\n",
+		"workload", "ms", "served", "faulted", "rejects", "panics")
 	for _, chaosKeys := range []bool{false, true} {
 		name := "serve-skewed"
 		if chaosKeys {
@@ -360,39 +359,15 @@ func Ablation(w io.Writer, opts Options) error {
 		}
 		var res servingResult
 		elapsed := TimeBest(opts.Reps, func() { res = servingSkewed(chaosKeys) })
-		fmt.Fprintf(w, "%-14s %10.2f %8d %8d %8d %8d %8d\n",
-			name, 1e3*elapsed.Seconds(), res.served, res.faulted, res.rejects,
-			res.stats.Steals, res.stats.Panics)
-	}
-
-	fmt.Fprintf(w, "\nA9. elastic serving (phase-shifted load: quiet -> burst -> quiet)\n")
-	// The elasticity ablation: the same phase-shifted workload against a
-	// fixed pool provisioned for the burst versus an autoscaled pool that
-	// must discover it. del-sec integrates active delegates over the run
-	// (the capacity bill); p99 is the client-side latency tail. The claim
-	// under test is that the autoscaled row pays materially fewer
-	// delegate-seconds for a comparable p99, and resizes > 0 proves the
-	// pool actually moved (up for the burst, back down for the cooldown)
-	// with zero failed or reordered requests — orderOK folds the per-key
-	// sequence check over every phase.
-	fmt.Fprintf(w, "%-14s %10s %8s %8s %8s %9s %9s %8s\n",
-		"workload", "ms", "served", "resizes", "maxdel", "del-sec", "p99 ms", "orderOK")
-	for _, auto := range []bool{false, true} {
-		name := "serve-fixed"
-		if auto {
-			name = "serve-elastic"
-		}
-		res := servingPhased(auto)
-		fmt.Fprintf(w, "%-14s %10.2f %8d %8d %8d %9.3f %9.2f %8v\n",
-			name, 1e3*res.elapsed.Seconds(), res.served, res.stats.Resizes,
-			res.maxActive, res.delegateSec, 1e3*res.p99.Seconds(), res.orderOK)
+		fmt.Fprintf(w, "%-14s %10.2f %8d %8d %8d %8d\n",
+			name, 1e3*elapsed.Seconds(), res.served, res.faulted, res.rejects, res.stats.Panics)
 	}
 	return nil
 }
 
 type servingResult struct {
 	served, faulted, rejects uint64
-	stats                    prometheus.Stats
+	stats                    serve.Stats
 }
 
 // servingSkewed drives the serving tier end to end: 8 concurrent clients,
@@ -400,7 +375,6 @@ type servingResult struct {
 // cold ones. With chaos on, one request poisons a hot key partway in.
 func servingSkewed(chaosKeys bool) servingResult {
 	srv, err := serve.New(serve.Config{
-		Delegates:     4,
 		EpochInterval: 5 * time.Millisecond,
 		Handler: func(s *serve.Session, r *http.Request) (int, string) {
 			if r.Header.Get("X-Chaos-Panic") == "1" {
@@ -449,133 +423,6 @@ func servingSkewed(chaosKeys bool) servingResult {
 	}
 	res.served, res.faulted, res.rejects = served.Load(), faulted.Load(), rejects.Load()
 	res.stats = srv.Stats()
-	return res
-}
-
-type phasedResult struct {
-	served      uint64
-	maxActive   int
-	delegateSec float64
-	p99         time.Duration
-	orderOK     bool
-	elapsed     time.Duration
-	stats       prometheus.Stats
-}
-
-// servingPhased is the A9 workload: phase-shifted load (quiet -> burst ->
-// quiet -> idle cooldown) against either a fixed pool provisioned for the
-// burst (4 delegates the whole run) or an autoscaled pool (1..4) that
-// must discover the burst and give the capacity back. A sampler
-// integrates the active-delegate count over the run into delegate-seconds
-// — the capacity bill the elastic pool is supposed to shrink — while
-// every client checks its keys' sequences stay exactly 1..n across all
-// phases, so a resize that failed or reordered even one request flips
-// orderOK.
-func servingPhased(autoscale bool) phasedResult {
-	cfg := serve.Config{
-		Delegates:     4,
-		EpochInterval: 5 * time.Millisecond,
-		Handler: func(s *serve.Session, r *http.Request) (int, string) {
-			time.Sleep(500 * time.Microsecond)
-			return http.StatusOK, fmt.Sprintf("%d", s.Seq)
-		},
-	}
-	if autoscale {
-		cfg.Delegates = 1
-		cfg.MinDelegates = 1
-		cfg.MaxDelegates = 4
-		cfg.Autoscale = true
-		cfg.AutoscaleCooldown = 1
-	}
-	srv, err := serve.New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	h := srv.Handler()
-
-	var res phasedResult
-	var served, orderBad atomic.Uint64
-	var mu sync.Mutex
-	var lats []time.Duration
-	lastSeq := make([]int, 8)
-
-	// One worker slot = one session key, persistent across phases, so the
-	// order check spans every resize the run performs.
-	client := func(c, n int, gap time.Duration) {
-		key := fmt.Sprintf("phased-%d", c)
-		for i := 0; i < n; i++ {
-			r := httptest.NewRequest("GET", "/bump", nil)
-			r.Header.Set("X-Session-Key", key)
-			rec := httptest.NewRecorder()
-			t0 := time.Now()
-			h.ServeHTTP(rec, r)
-			lat := time.Since(t0)
-			seq := 0
-			fmt.Sscanf(rec.Body.String(), "%d", &seq)
-			if rec.Code != http.StatusOK || seq != lastSeq[c]+1 {
-				orderBad.Add(1)
-				return
-			}
-			lastSeq[c] = seq
-			served.Add(1)
-			mu.Lock()
-			lats = append(lats, lat)
-			mu.Unlock()
-			if gap > 0 {
-				time.Sleep(gap)
-			}
-		}
-	}
-	runPhase := func(workers, n int, gap time.Duration) {
-		var wg sync.WaitGroup
-		for c := 0; c < workers; c++ {
-			wg.Add(1)
-			go func(c int) { defer wg.Done(); client(c, n, gap) }(c)
-		}
-		wg.Wait()
-	}
-
-	stop := make(chan struct{})
-	var sampWG sync.WaitGroup
-	sampWG.Add(1)
-	go func() {
-		defer sampWG.Done()
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		prev := time.Now()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-tick.C:
-				a := srv.ActiveDelegates()
-				res.delegateSec += float64(a) * now.Sub(prev).Seconds()
-				if a > res.maxActive {
-					res.maxActive = a
-				}
-				prev = now
-			}
-		}
-	}()
-
-	start := time.Now()
-	runPhase(2, 40, time.Millisecond)  // quiet: trickle, well under one delegate
-	runPhase(8, 150, 0)                // burst: backlog the autoscaler must see
-	runPhase(2, 40, time.Millisecond)  // quiet again: the EWMA decays
-	time.Sleep(100 * time.Millisecond) // idle cooldown: the pool walks to the floor
-	res.elapsed = time.Since(start)
-	close(stop)
-	sampWG.Wait()
-	if err := srv.Drain(); err != nil {
-		panic(err)
-	}
-	res.served = served.Load()
-	res.orderOK = orderBad.Load() == 0
-	res.stats = srv.Stats()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	if len(lats) > 0 {
-		res.p99 = lats[len(lats)*99/100]
-	}
 	return res
 }
 

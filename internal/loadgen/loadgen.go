@@ -20,7 +20,7 @@
 // strictly increasing sequences (per-key causal order, client view),
 // and across ALL workers no sequence for a key may repeat (each request
 // executed exactly once, never overlapped — duplicates are the first
-// symptom of a key served by two delegates at once).
+// symptom of two requests for one key running at once).
 package loadgen
 
 import (
@@ -34,6 +34,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	prometheus "repro"
@@ -49,7 +50,7 @@ type Profile struct {
 
 	// Key skew: with probability HotFraction a request targets one of
 	// HotKeys hot keys, otherwise one of ColdKeys cold keys — the 90/10
-	// shape that exercises the router's whole-set stealer.
+	// shape that piles hot keys' requests up on their turn chains.
 	HotKeys     int     // default 2
 	ColdKeys    int     // default 64
 	HotFraction float64 // default 0.9
@@ -127,8 +128,11 @@ type Result struct {
 	DupSeqs         int      // (key, seq) pairs seen more than once across the fleet
 	OrderViolations []string // first few per-worker monotonicity breaks, human-readable
 
-	P50, P99, Max time.Duration // over healthy responses
-	Healthy       int           // 2xx count feeding the quantiles
+	P50, P99 time.Duration // over healthy responses, from the histogram
+	Max      time.Duration // exact slowest healthy response
+	Healthy  int           // 2xx count feeding the quantiles
+
+	Elapsed time.Duration // wall clock from the first request to the last answer
 
 	// Acks collects acknowledged sequences per key, in receive order per
 	// worker (interleaved across workers). Nil unless Profile.TrackAcks.
@@ -172,6 +176,43 @@ var latencyBounds = []int64{
 	100000, 200000, 500000, 1000000, 2000000, 5000000, 10000000,
 }
 
+// latencies records healthy-response latencies: the histogram gives the
+// quantiles, and an exact maximum is kept beside it because the
+// histogram's top quantile saturates at a bucket edge.
+type latencies struct {
+	hist *prometheus.Histogram
+	max  atomic.Int64 // nanoseconds
+}
+
+func newLatencies() *latencies {
+	return &latencies{hist: prometheus.NewHistogram(latencyBounds...)}
+}
+
+func (l *latencies) observe(d time.Duration) {
+	l.hist.Observe(d.Microseconds())
+	for cur := l.max.Load(); int64(d) > cur; cur = l.max.Load() {
+		if l.max.CompareAndSwap(cur, int64(d)) {
+			return
+		}
+	}
+}
+
+// fill copies the quantiles and the maximum into r.
+func (l *latencies) fill(r *Result) {
+	r.P50 = time.Duration(l.hist.Quantile(0.50)) * time.Microsecond
+	r.P99 = time.Duration(l.hist.Quantile(0.99)) * time.Microsecond
+	r.Max = time.Duration(l.max.Load())
+}
+
+// Rate returns the achieved request rate: requests issued per second of
+// the run's wall clock.
+func (r *Result) Rate() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.Requests) / r.Elapsed.Seconds()
+}
+
 // Run executes the profile against the live server and returns what it
 // observed. The error return covers harness misuse (bad profile), not
 // server misbehavior — that lands in the Result for Check to judge.
@@ -190,7 +231,7 @@ func Run(p Profile) (*Result, error) {
 	}
 	defer client.CloseIdleConnections()
 
-	hist := prometheus.NewHistogram(latencyBounds...)
+	lats := newLatencies()
 	res := &Result{ByStatus: map[int]int{}}
 	if p.TrackAcks {
 		res.Acks = map[string][]AckPoint{}
@@ -201,6 +242,7 @@ func Run(p Profile) (*Result, error) {
 		wg   sync.WaitGroup
 	)
 
+	runStart := time.Now()
 	perWorker := p.Requests / p.Workers
 	extra := p.Requests % p.Workers
 	for wi := 0; wi < p.Workers; wi++ {
@@ -225,6 +267,9 @@ func Run(p Profile) (*Result, error) {
 				start := time.Now()
 				status, body, err := doGet(client, base+"/bump", key)
 				lat := time.Since(start)
+				if err == nil && status >= 200 && status < 300 {
+					lats.observe(lat)
+				}
 
 				mu.Lock()
 				res.Requests++
@@ -240,7 +285,6 @@ func Run(p Profile) (*Result, error) {
 				res.ByStatus[status]++
 				if status >= 200 && status < 300 {
 					res.Healthy++
-					hist.Observe(lat.Microseconds())
 					if seq, ok := parseSeq(body); ok {
 						if prev, dup := w.last[key]; dup && seq <= prev {
 							if len(res.OrderViolations) < 8 {
@@ -268,10 +312,8 @@ func Run(p Profile) (*Result, error) {
 		}(wi, n)
 	}
 	wg.Wait()
-
-	res.P50 = time.Duration(hist.Quantile(0.50)) * time.Microsecond
-	res.P99 = time.Duration(hist.Quantile(0.99)) * time.Microsecond
-	res.Max = time.Duration(hist.Quantile(1.0)) * time.Microsecond
+	res.Elapsed = time.Since(runStart)
+	lats.fill(res)
 	return res, nil
 }
 
@@ -369,6 +411,7 @@ func (r *Result) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "requests %d  healthy %d  hung %d  transport-errors %d\n",
 		r.Requests, r.Healthy, r.Hung, r.Errors)
+	fmt.Fprintf(&b, "achieved %.0f req/s over %v\n", r.Rate(), r.Elapsed.Round(time.Millisecond))
 	statuses := make([]int, 0, len(r.ByStatus))
 	for s := range r.ByStatus {
 		statuses = append(statuses, s)

@@ -74,6 +74,9 @@ func TestChaosProfileAgainstLiveServer(t *testing.T) {
 	if res.Healthy == 0 {
 		t.Fatal("no healthy responses at all")
 	}
+	if res.Rate() <= 0 || res.Max < res.P50 {
+		t.Fatalf("report: rate %v req/s, max %v below p50 %v", res.Rate(), res.Max, res.P50)
+	}
 
 	// The flap window must have opened the flaky backend's breaker at
 	// least once, and once the window passed a half-open probe must have
@@ -219,5 +222,32 @@ func TestParseSeq(t *testing.T) {
 		if n != c.n || ok != c.ok {
 			t.Fatalf("parseSeq(%q) = %d,%v want %d,%v", c.body, n, ok, c.n, c.ok)
 		}
+	}
+}
+
+// TestLatencyMaxAndRate: samples that fall between bucket edges keep
+// their exact maximum (the histogram's top quantile would report the
+// 10 ms edge above 7.7 ms), and the report states the achieved rate.
+func TestLatencyMaxAndRate(t *testing.T) {
+	l := newLatencies()
+	for _, d := range []time.Duration{1300 * time.Microsecond, 7700 * time.Microsecond, 333 * time.Microsecond} {
+		l.observe(d)
+	}
+	r := &Result{Requests: 500, Elapsed: 2 * time.Second, ByStatus: map[int]int{200: 500}}
+	l.fill(r)
+	if r.Max != 7700*time.Microsecond {
+		t.Fatalf("Max = %v, want the exact 7.7ms sample", r.Max)
+	}
+	if edge := time.Duration(l.hist.Quantile(1.0)) * time.Microsecond; edge == r.Max {
+		t.Fatalf("histogram top quantile %v matched the sample: the samples must fall between bucket edges", edge)
+	}
+	if r.P50 <= 0 || r.P99 > r.Max*2 {
+		t.Fatalf("quantiles p50 %v p99 %v out of range for max %v", r.P50, r.P99, r.Max)
+	}
+	if got := r.Rate(); got != 250 {
+		t.Fatalf("Rate = %v, want 250 req/s", got)
+	}
+	if s := r.String(); !strings.Contains(s, "achieved 250 req/s over 2s") || !strings.Contains(s, "max 7.7ms") {
+		t.Fatalf("report lacks the achieved rate or the exact max:\n%s", s)
 	}
 }

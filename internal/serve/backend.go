@@ -14,19 +14,19 @@ import (
 	"repro/internal/chaos"
 )
 
-// Backend executes the work behind one request, on a delegate context,
-// serialized with every other request for the same key by the key's
-// serialization set. ctx carries the request's deadline (see
+// Backend executes the work behind one request, on the request's own
+// goroutine, serialized with every other request for the same key by the
+// key's turn chain. ctx carries the request's deadline (see
 // Config.RequestTimeout); a backend that does I/O must honor it so a slow
-// downstream resolves as a timeout error instead of wedging its key's set
-// for the epoch.
+// downstream resolves as a timeout error instead of holding its key's
+// turn.
 //
 // The error return is the backend-health seam: a nil error means the
 // backend produced a definitive answer (any status — an upstream 404 is a
 // healthy backend answering), a non-nil error means the backend itself
 // failed (connect error, 5xx, timeout, injected chaos). Errors feed the
 // pool's circuit breaker and the router's retry ladder; panics remain the
-// handler-bug seam and are contained by the engine as before.
+// handler-bug seam, recovered by the tier and poisoning only their key.
 type Backend interface {
 	// Name identifies the backend in metrics and health reports.
 	Name() string
@@ -88,8 +88,8 @@ func (hb *HandlerBackend) Serve(ctx context.Context, s *Session, r *http.Request
 // status is a definitive answer relayed to the client.
 //
 // The body is read once and cached on the request (r.GetBody), so a
-// retried attempt — the router re-delegates idempotent requests through
-// the same job — replays the same bytes instead of finding a drained
+// retried attempt — the router relinks idempotent requests through the
+// same job — replays the same bytes instead of finding a drained
 // reader. A body over the cap is a definitive 413, not a backend failure:
 // retrying would re-send the same oversized payload.
 type HTTPBackend struct {
@@ -270,8 +270,8 @@ type statesProvider interface {
 // Pool routes each call to one healthy backend, in the style of an
 // upstream keypool: round-robin rotation across backends whose circuit
 // breaker admits traffic. One call tries ONE backend — on failure the
-// breaker records it and the error returns to the router, whose retry
-// ladder re-delegates the request through the key's serialization set, so
+// breaker records it and the error returns to the tier, whose retry
+// ladder relinks the request at the tail of its key's turn chain, so
 // failover between backends never reorders a key's requests. When every
 // backend is gated the call fails fast with ErrNoBackend (also retryable:
 // cooldowns expire and half-open probes re-admit traffic).

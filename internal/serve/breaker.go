@@ -32,9 +32,9 @@ func breakerStateName(s int32) string {
 }
 
 // breaker is a per-backend circuit breaker with consecutive-failure
-// tracking and half-open probing. Delegate contexts call allow/onSuccess/
-// onFailure concurrently (different sets execute on different delegates),
-// so the state machine runs under one mutex; the serving path pays that
+// tracking and half-open probing. Request goroutines call allow/onSuccess/
+// onFailure concurrently (different keys execute at the same time), so
+// the state machine runs under one mutex; the serving path pays that
 // lock only when a pool actually routes to the backend, never on the
 // admission fast path.
 //

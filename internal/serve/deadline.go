@@ -16,38 +16,38 @@ import (
 // serving tier — not user code — holds the request:
 //
 //   - at delivery (the router dequeued it after the budget expired:
-//     resolve 504 without delegating),
-//   - at the queue front (the delegate reached it after its set's earlier
-//     work — a latency spike upstream, a slow epoch-mate — consumed the
-//     budget: resolve 504 without running the backend),
+//     resolve 504 without linking it into the key's turn chain),
+//   - while it waits for its key's turn (the key's earlier work — a
+//     latency spike upstream, a blocked handler — outlasted the budget:
+//     resolve 504 at the deadline without running the backend; the
+//     expired request's own turn is handed on only once its predecessor
+//     completes, so the key's order is unaffected),
 //   - inside the backend (ctx carries the deadline; an I/O-bound backend
 //     returns a timeout error, which resolves 504 when the budget is gone
-//     instead of feeding the retry ladder),
-//   - at the epoch sweep (the delegation was dropped on a poison seam and
-//     the budget has expired: the post-barrier sweep resolves 504, the
-//     "definitive answer, never a parked done-channel" guarantee).
+//     instead of feeding the retry ladder).
 //
 // What the deadline cannot do is preempt a non-cooperative in-process
 // handler mid-run — Go has no goroutine cancellation — so a handler that
 // ignores r.Context() runs to completion and its own request is answered
-// late. The requests behind it are protected by queue-front shedding, and
-// the key itself is taken out of service by the watchdog below.
+// late. The requests behind it on the same key expire on their own
+// deadlines, other keys never wait for it, and the key itself is taken out
+// of service by the watchdog below.
 //
 // # Retries
 //
 // A backend failure (error return, not a panic) on an idempotent request
-// is retried with capped exponential backoff plus deterministic jitter —
-// but never inline on the delegate, which would hold the set hostage for
-// the backoff duration. Instead the delegate arms a timer and the job
-// re-enters the router's jobs channel when it fires: the retry is
-// re-delegated through the key's serialization set like a fresh arrival,
-// so per-key order is preserved across attempts by the same mechanism
-// that ordered the first attempt. The budget bounds the ladder: a retry
-// whose backoff would land past the deadline is not armed.
+// is retried with capped exponential backoff plus deterministic jitter.
+// The attempt first releases its key's turn, so the key's later requests
+// run during the backoff; the request goroutine then sleeps the backoff
+// and re-enters the router's jobs channel, and the router relinks it at
+// the tail of the key's turn chain like a fresh arrival — per-key order
+// is preserved across attempts by the same mechanism that ordered the
+// first attempt. The budget bounds the ladder: a retry whose backoff would
+// land past the deadline is not armed.
 //
 // # Slow-key watchdog
 //
-// Deadlines protect requests; the watchdog protects sets. A key whose
+// Deadlines protect requests; the watchdog protects keys. A key whose
 // requests are persistently slow (Config.SlowThreshold exceeded on
 // Config.SlowTrips consecutive services) is degraded: subsequent requests
 // shed with 503 at delivery instead of queueing behind work that will
@@ -59,7 +59,7 @@ import (
 // retryable reports whether a failed attempt should re-enter the router:
 // the request must be idempotent, the attempt budget must remain, and the
 // backoff must land inside the request's deadline (otherwise the retry
-// would only burn a delegation to discover the 504).
+// would only wait its turn to discover the 504).
 func (s *Server) retryable(j *job, backoff time.Duration) bool {
 	if j.attempt >= s.cfg.RetryMax {
 		return false
@@ -111,11 +111,12 @@ func jitterMix(set, attempt uint64) uint64 {
 	return x
 }
 
-// slowTable tracks per-set service times for the watchdog. Delegates feed
-// it after every backend call (observe); the router consults it at
-// delivery (degraded) and clears it at every rotation (heal) — the same
-// epoch-scoped repair discipline as poisoning. Lock-sharded like the rate
-// limiter: delegates for different sets collide only on a shard mutex.
+// slowTable tracks per-set service times for the watchdog. Request
+// goroutines feed it after every backend call (observe); the router
+// consults it at delivery (degraded) and clears it at every rotation
+// (heal) — the same epoch-scoped repair discipline as poisoning.
+// Lock-sharded like the rate limiter: requests for different sets collide
+// only on a shard mutex.
 type slowTable struct {
 	threshold time.Duration // a service slower than this is one strike
 	trips     int           // consecutive strikes that degrade the key
@@ -145,7 +146,7 @@ func newSlowTable(threshold time.Duration, trips int) *slowTable {
 	return t
 }
 
-// observe records one service time for set; called from delegate contexts.
+// observe records one service time for set; called from request goroutines.
 // Returns true when this observation degraded the key.
 func (t *slowTable) observe(set uint64, d time.Duration) bool {
 	sh := &t.shards[set%slowShards]

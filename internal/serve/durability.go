@@ -5,30 +5,31 @@ package serve
 // at startup, so a crash or restart loses at most a bounded window of
 // session history instead of every session on the instance.
 //
-// The design rides the machinery the tier already has:
+// The design:
 //
-//   - The EndIsolation barrier at every epoch rotation proves the delegate
-//     pool quiescent — no handler is mutating any Session — so the window
-//     between EndIsolation and BeginIsolation is a consistent cut across
-//     every key at once. Session capture happens there, on the router, at
-//     the same point the stats snapshot republishes. The router only
-//     ENCODES (cost proportional to live state); committing the snapshot
-//     to storage happens write-behind on a dedicated writer goroutine with
-//     a latest-wins pending slot, so a slow disk delays durability, never
-//     requests.
+//   - Every executed request encodes its session's post-state, then,
+//     under a short read lock (Server.cut), appends those bytes to the
+//     intra-epoch journal (durable.Journal) and stores the same bytes on
+//     its session. This runs on the request goroutine, after the backend
+//     returned and before the request is acknowledged, so under
+//     Config.Fsync == FsyncAlways an acknowledged response is durable by
+//     the time the client sees it.
 //
-//   - Between rotations, every executed request appends its session's
-//     post-state to an intra-epoch journal (durable.Journal). The append
-//     runs on the delegate, after the backend returned and before the
-//     request is acknowledged, so under Config.Fsync == FsyncAlways an
-//     acknowledged response is durable by the time the client sees it.
+//   - At every epoch rotation the router takes the write lock, swaps the
+//     journal to the next generation, and collects the stored records:
+//     snapshot N is built from them, not from the live sessions, so the
+//     cut never waits for a running backend. The lock is what makes
+//     recovery's replay rule sound: every record appended to wal-(N-1)
+//     was stored on its session under the read lock before the capture
+//     could take the write lock, so wal-(N-1) ⊆ snapshot N, and a record
+//     is never stranded in a journal too old for recovery to replay.
+//     Committing the snapshot to storage happens write-behind on a
+//     dedicated writer goroutine with a pending slot, so a slow disk
+//     delays durability, never requests.
 //
-//   - The journal SWAPS generations at capture time, on the router, inside
-//     the same quiescent window (the pool is parked, so no append can race
-//     the swap). That ordering is what makes recovery's replay rule sound:
-//     wal-(N-1) closes before any post-capture-N request executes, so
-//     every record in it is folded into snapshot N, and a record is never
-//     stranded in a journal too old for recovery to replay.
+//   - Drain waits until every request has returned and then encodes the
+//     quiescent table synchronously: a clean drain is lossless under
+//     every fsync policy.
 //
 // Failure is a degradation, not an outage: a failed snapshot commit keeps
 // the previous generation valid (counted in ss_snapshot_failures_total),
@@ -47,7 +48,8 @@ import (
 )
 
 // snapCapture is one epoch-consistent capture handed to the write-behind
-// writer: the generation the router assigned and every session encoded.
+// writer: the generation the router assigned and every session's stored
+// record.
 type snapCapture struct {
 	gen     uint64
 	records [][]byte
@@ -90,6 +92,9 @@ func (s *Server) initDurability() error {
 	s.recovered.snapshotGen = rec.SnapshotGen
 	s.recovered.snapshotsSkipped = rec.SnapshotsSkipped
 	s.recovered.truncatedRecords = rec.TruncatedRecords
+	for _, sess := range s.sessions {
+		sess.rec = encodeSession(sess)
+	}
 
 	// Boot commit: fold the recovered table (journal replay included) into
 	// a fresh generation synchronously, so the journals that fed recovery
@@ -102,7 +107,7 @@ func (s *Server) initDurability() error {
 	// tear (replay stops at the first bad frame), so the boot journal must
 	// start strictly above every existing name.
 	s.snapGen = rec.MaxGen + 1
-	if _, err := s.store.CommitSnapshot(s.snapGen, encodeSessions(s.sessions)); err != nil {
+	if _, err := s.store.CommitSnapshot(s.snapGen, s.storedRecords()); err != nil {
 		return fmt.Errorf("serve: boot snapshot: %w", err)
 	}
 	if !s.cfg.NoJournal {
@@ -110,7 +115,7 @@ func (s *Server) initDurability() error {
 		if err != nil {
 			return fmt.Errorf("serve: boot journal: %w", err)
 		}
-		s.journal.Store(j)
+		s.journal = j
 	}
 	s.snapCh = make(chan snapCapture, 1)
 	s.writerDone = make(chan struct{})
@@ -147,47 +152,50 @@ func (s *Server) snapshotWriter() {
 	}
 }
 
-// rotateDurable is the rotation hook: called on the router between
-// EndIsolation and BeginIsolation (the consistent cut). No-op unless a
-// request executed since the last capture — an idle server writes
-// nothing. Program context only.
+// rotateDurable is the rotation hook: swap the journal and capture the
+// stored records under the write lock, then hand the capture to the
+// writer. No-op unless a request executed since the last capture — an
+// idle server writes nothing. Router only.
 func (s *Server) rotateDurable() {
 	if s.store == nil || !s.dirty.Swap(false) {
 		return
 	}
 	s.snapGen++
-	records := encodeSessions(s.sessions)
+	var next *durable.Journal
 	if !s.cfg.NoJournal {
-		// Swap generations while the pool is provably parked: wal-(gen-1)
-		// closes — flushing its buffer, and under FsyncRotation this close
-		// IS the per-epoch fsync — before any post-capture request can
-		// append. On an open failure the old journal stays in place; its
-		// records are still covered by the next successful capture.
-		nj, err := s.store.OpenJournal(s.snapGen, s.cfg.Fsync)
-		if err != nil {
+		// Open wal-gen before taking the lock: nothing appends to it until
+		// the swap below. On an open failure the old journal stays in
+		// place; its records are still covered by the next capture.
+		var err error
+		if next, err = s.store.OpenJournal(s.snapGen, s.cfg.Fsync); err != nil {
 			s.metrics.journalFailures.Add(1)
 			s.cfg.Logf("serve: journal generation %d: %v", s.snapGen, err)
-			// The generation cannot swap, but the policy's per-epoch fsync
-			// must still happen: sync the old journal in place so this
-			// epoch's acked records meet the <=1-epoch loss bound even
-			// while new-file creation is failing.
-			if s.cfg.Fsync == durable.FsyncRotation {
-				if old := s.journal.Load(); old != nil {
-					if serr := old.Sync(); serr != nil {
-						s.metrics.journalFailures.Add(1)
-					} else {
-						s.metrics.journalSyncs.Add(1)
-					}
-				}
-			}
+		}
+	}
+	s.cut.Lock()
+	old := s.journal
+	if next != nil {
+		s.journal = next
+	}
+	records := s.storedRecords()
+	s.cut.Unlock()
+	if next != nil && old != nil {
+		// wal-(gen-1) takes no more appends: closing it flushes its buffer,
+		// and under FsyncRotation this close IS the per-epoch fsync.
+		if err := old.Close(); err != nil {
+			s.metrics.journalFailures.Add(1)
+		} else if s.cfg.Fsync != durable.FsyncOff {
+			s.metrics.journalSyncs.Add(1)
+		}
+	} else if next == nil && old != nil && s.cfg.Fsync == durable.FsyncRotation {
+		// The generation could not swap, but the policy's per-epoch fsync
+		// must still happen: sync the old journal in place so this epoch's
+		// acked records meet the <=1-epoch loss bound even while new-file
+		// creation is failing.
+		if err := old.Sync(); err != nil {
+			s.metrics.journalFailures.Add(1)
 		} else {
-			if old := s.journal.Swap(nj); old != nil {
-				if err := old.Close(); err != nil {
-					s.metrics.journalFailures.Add(1)
-				} else if s.cfg.Fsync != durable.FsyncOff {
-					s.metrics.journalSyncs.Add(1)
-				}
-			}
+			s.metrics.journalSyncs.Add(1)
 		}
 	}
 	select {
@@ -202,19 +210,37 @@ func (s *Server) rotateDurable() {
 	}
 }
 
-// journalSession appends sess's post-request state to the current
-// journal. Runs on the delegate that executed the request, BEFORE the
-// request resolves — under FsyncAlways the record is on stable storage
-// when the acknowledgment goes out. Append failures degrade (counted,
-// logged by policy of the layer: snapshots still cover the state) rather
-// than failing the request — durability is best-effort below the fsync
-// contract, the request's answer is not.
-func (s *Server) journalSession(sess *Session) {
-	j := s.journal.Load()
-	if j == nil {
+// storedRecords collects every session's stored post-state record. The
+// rotation capture calls it under the write lock; boot calls it before
+// the router starts.
+func (s *Server) storedRecords() [][]byte {
+	records := make([][]byte, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		if sess.rec != nil {
+			records = append(records, sess.rec)
+		}
+	}
+	return records
+}
+
+// persist stores sess's post-request state on the session and appends it
+// to the current journal, under the read lock so the rotation capture sees
+// every journaled record. Runs on the request goroutine that holds the
+// key's turn, BEFORE the request resolves — under FsyncAlways the record
+// is on stable storage when the acknowledgment goes out. Append failures
+// degrade (counted; snapshots still cover the state) rather than failing
+// the request — durability is best-effort below the fsync contract, the
+// request's answer is not.
+func (s *Server) persist(sess *Session) {
+	rec := encodeSession(sess)
+	s.cut.RLock()
+	defer s.cut.RUnlock()
+	sess.rec = rec
+	s.dirty.Store(true)
+	if s.journal == nil {
 		return
 	}
-	if err := j.Append(encodeSession(sess)); err != nil {
+	if err := s.journal.Append(rec); err != nil {
 		s.metrics.journalFailures.Add(1)
 		return
 	}
@@ -225,9 +251,8 @@ func (s *Server) journalSession(sess *Session) {
 }
 
 // drainDurable is the shutdown path: stop the writer, then commit a final
-// synchronous snapshot of the drained (quiescent, post-barrier) table and
-// close the journal. A clean drain is therefore lossless under every
-// fsync policy. Program context only.
+// synchronous snapshot of the quiescent table and close the journal.
+// Router only, after every request has returned.
 func (s *Server) drainDurable() {
 	if s.store == nil {
 		return
@@ -241,8 +266,9 @@ func (s *Server) drainDurable() {
 	} else {
 		s.metrics.snapshots.Add(1)
 	}
-	if j := s.journal.Swap(nil); j != nil {
-		j.Close()
+	if s.journal != nil {
+		s.journal.Close()
+		s.journal = nil
 	}
 }
 
@@ -281,7 +307,7 @@ func encodeSession(sess *Session) []byte {
 }
 
 // encodeSessions encodes the whole table, one record per session.
-// Program context only (reads router-private state).
+// Router only, at a quiescent point.
 func encodeSessions(sessions map[uint64]*Session) [][]byte {
 	records := make([][]byte, 0, len(sessions))
 	for _, sess := range sessions {

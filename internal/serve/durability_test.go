@@ -2,13 +2,16 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	prometheus "repro"
 	"repro/internal/chaos"
 	"repro/internal/durable"
 )
@@ -354,3 +357,97 @@ func TestRotationSwapFailureStillSyncsOldJournal(t *testing.T) {
 	}
 }
 
+// TestDurableCutDuringBlockedKey pins that the rotation cut does not wait
+// for a running backend: while one key's handler is blocked across
+// several rotations, snapshots keep committing, and after the key unblocks
+// and the server drains, recovery returns every key's last acknowledged
+// sequence — the blocked key's included.
+func TestDurableCutDuringBlockedKey(t *testing.T) {
+	fs := durable.NewMemFS()
+	entered, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	cfg := durableCfg(fs, durable.FsyncRotation)
+	cfg.EpochInterval = 10 * time.Millisecond
+	cfg.Handler = func(sess *Session, r *http.Request) (int, string) {
+		if r.Header.Get("X-Block") == "1" {
+			close(entered)
+			<-release
+		}
+		return http.StatusOK, strconv.FormatUint(sess.Seq, 10)
+	}
+	s := newTestServer(t, cfg)
+	h := s.Handler()
+
+	keys := []string{"a", "b", "c"}
+	acked := map[string]string{}
+	for _, k := range keys {
+		for i := 0; i < 3; i++ {
+			acked[k] = bump(t, h, k)
+		}
+	}
+	acked["stuck"] = bump(t, h, "stuck")
+	blocked := make(chan string, 1)
+	go func() {
+		code, body := get(t, h, "/bump", "stuck", map[string]string{"X-Block": "1"})
+		if code != http.StatusOK {
+			body = "status " + strconv.Itoa(code)
+		}
+		blocked <- body
+	}()
+	<-entered
+
+	// Keep the other keys dirty so every rotation captures, until at
+	// least two rotations and two snapshot commits land during the block.
+	epoch0, snaps0 := s.Stats().Epochs, s.metrics.snapshots.Load()
+	during := make(chan string, 1)
+	go func() {
+		for i := 0; s.Stats().Epochs < epoch0+2 || s.metrics.snapshots.Load() < snaps0+2; i++ {
+			k := keys[i%len(keys)]
+			code, body := get(t, h, "/bump", k, nil)
+			if code != http.StatusOK {
+				during <- fmt.Sprintf("key %s: status %d body %q", k, code, body)
+				return
+			}
+			acked[k] = body
+			time.Sleep(2 * time.Millisecond)
+		}
+		during <- ""
+	}()
+	select {
+	case msg := <-during:
+		if msg != "" {
+			t.Fatal(msg)
+		}
+	case <-time.After(10 * time.Second):
+		rotations, snaps := s.Stats().Epochs-epoch0, s.metrics.snapshots.Load()-snaps0
+		unblock()
+		<-during
+		t.Fatalf("during the block: %d rotations, %d snapshots committed; want >= 2 of each", rotations, snaps)
+	}
+
+	unblock()
+	acked["stuck"] = <-blocked
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := durable.NewStore(fs).Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := map[uint64]*Session{}
+	for _, p := range append(rec.SnapshotRecords, rec.JournalRecords...) {
+		if !applySessionRecord(table, p) {
+			t.Fatal("recovered record failed to decode")
+		}
+	}
+	for k, want := range acked {
+		got := "missing"
+		if sess := table[prometheus.StringSet(k)]; sess != nil {
+			got = strconv.FormatUint(sess.Seq, 10)
+		}
+		if got != want {
+			t.Errorf("key %s: recovered seq %s, want last acked %s", k, got, want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	prometheus "repro"
@@ -11,49 +10,13 @@ import (
 
 // Handler returns the server's HTTP surface: every path serves requests
 // through the session-affinity router except /metrics (Prometheus text
-// exposition), /healthz (503 while draining, 200 otherwise), and
-// /admin/resize (manual pool resize).
+// exposition) and /healthz (503 while draining, 200 otherwise).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/admin/resize", s.handleResize)
 	mux.Handle("/", s)
 	return mux
-}
-
-// handleResize accepts POST /admin/resize?n=<target>: the target is
-// validated against the pool capacity, recorded for the router, and
-// applied at the next epoch rotation — 202, not 200, because the resize is
-// deferred to the runtime's quiescent point by design. A manual target
-// wins over the autoscaler's next decision and resets its cooldown;
-// repeated posts before a rotation follow last-write-wins, matching the
-// engine's own Reconfigure semantics.
-func (s *Server) handleResize(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.cfg.MaxDelegates <= 0 {
-		http.Error(w, "pool is fixed-size: start with Config.MaxDelegates to enable resizing",
-			http.StatusConflict)
-		return
-	}
-	n, err := strconv.Atoi(r.FormValue("n"))
-	if err != nil {
-		http.Error(w, "query parameter n must be an integer", http.StatusBadRequest)
-		return
-	}
-	if n < 1 || n > s.cfg.MaxDelegates {
-		http.Error(w, fmt.Sprintf("target %d outside pool bounds [1, %d]", n, s.cfg.MaxDelegates),
-			http.StatusUnprocessableEntity)
-		return
-	}
-	s.resizeTarget.Store(int64(n))
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.WriteHeader(http.StatusAccepted)
-	fmt.Fprintf(w, "resize to %d delegates accepted; applies at the next epoch rotation (active %d)\n",
-		n, s.rt.ActiveDelegates())
 }
 
 // handleHealthz reports readiness plus the degradation detail an
@@ -84,7 +47,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(status)
 	fmt.Fprintf(w, "%s\npoisoned_keys %d\ngated_backends %d\ndegraded_keys %d\n",
-		state, s.rt.PoisonedCount(), gated, degraded)
+		state, s.poison.Load().n.Load(), gated, degraded)
 	if s.store != nil {
 		// Durability detail: what the last startup rebuilt (and had to
 		// discard), so an operator — or the crash-restart harness — can
@@ -96,9 +59,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // ServeHTTP is the request path: admission gates on the handler
 // goroutine (cheap rejects that never touch the router), then one bounded
-// channel send and one channel wait. The gates run in rejection-cost
-// order — inflight budget, token bucket, poison check — so overload is
-// repelled before per-key state is consulted.
+// channel send, the router's grant, and the request's own turn on its key
+// (see await). The gates run in rejection-cost order — inflight budget,
+// token bucket, poison check — so overload is repelled before per-key
+// state is consulted.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Admission handshake: raise inflight BEFORE loading the draining
 	// flag, mirroring drainRouter's store-then-wait (see its comment for
@@ -125,15 +89,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if s.rt.Poisoned(set) {
+	if fault := s.poison.Load().fault(set); fault != nil {
 		// Fast path: the key faulted earlier this epoch. Fail with the
 		// fault attached, without a round trip through the router.
 		s.metrics.poisonRejects.Add(1)
-		s.failPoisoned(w, key, set)
+		s.failPoisoned(w, key, fault)
 		return
 	}
 
-	j := &job{key: key, set: set, r: r, done: make(chan struct{}), start: time.Now()}
+	j := &job{key: key, set: set, r: r, grant: make(chan struct{}, 1), start: time.Now()}
 	if s.cfg.RequestTimeout > 0 {
 		// The request's budget is fixed here, at admission: every queue it
 		// waits in, every backend attempt, and every retry backoff spends
@@ -144,33 +108,30 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	select {
 	case s.jobs <- j:
 	default:
-		// Backpressure: the router is behind (or parked on a rotation
-		// barrier). Reject rather than buffer without bound.
+		// Backpressure: the router is behind. Reject rather than buffer
+		// without bound.
 		s.metrics.admissionRejects.Add(1)
 		http.Error(w, "queue full", http.StatusServiceUnavailable)
 		return
 	}
-	<-j.done
+	s.await(j)
 
 	lat := time.Since(j.start)
 	s.metrics.observe(set, lat)
-	switch j.outcome.Load() {
+	switch j.outcome {
 	case outcomeServed:
 		s.metrics.served.Add(1)
 		w.WriteHeader(j.status)
 		fmt.Fprint(w, j.body)
 	case outcomeFaulted:
-		// This request's own operation panicked. The engine records the
-		// fault just after our deferred finish ran, so give the record a
-		// moment to land before attaching it.
+		// This request's own backend call panicked.
 		s.metrics.faultResponses.Add(1)
-		s.failFaulted(w, key, set)
+		s.failFaulted(w, key, j.fault)
 	case outcomeExpired:
 		// The request's budget ran out before a backend could answer — at
-		// delivery, at the queue front behind slower epoch-mates, inside a
-		// deadline-honoring backend, or at the epoch sweep. Definitive by
-		// construction: the winner of the outcome CAS proved no backend
-		// answer is coming.
+		// delivery, while it waited for its key's turn, or inside a
+		// deadline-honoring backend. Definitive: the job resolved without
+		// a backend answer and never runs again.
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusGatewayTimeout)
 		fmt.Fprintf(w, "request for key %q exceeded its %v budget\n", key, s.cfg.RequestTimeout)
@@ -181,42 +142,27 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "key %q degraded: persistently slow; shed until the next epoch rotation\n", key)
 	default: // outcomeDropped
-		// The key was poisoned before this request's operation could run;
-		// the operation was deterministically dropped (router fast path or
-		// engine seam + epoch sweep).
+		// The key was poisoned before this request could run (at delivery,
+		// or by a request ahead of it in the key's turn chain).
 		s.metrics.faultResponses.Add(1)
-		s.failPoisoned(w, key, set)
+		s.failPoisoned(w, key, j.fault)
 	}
 }
 
 // failPoisoned writes the 500 for a request rejected or dropped because
-// its key's set is poisoned, attaching the fault that poisoned it.
-func (s *Server) failPoisoned(w http.ResponseWriter, key string, set uint64) {
+// its key is poisoned, attaching the fault that poisoned it.
+func (s *Server) failPoisoned(w http.ResponseWriter, key string, fault error) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusInternalServerError)
 	fmt.Fprintf(w, "key %q is poisoned for the current epoch; request dropped\n", key)
-	if err := s.rt.SetErr(set); err != nil {
-		fmt.Fprintf(w, "fault: %v\n", err)
-	}
+	fmt.Fprintf(w, "fault: %v\n", fault)
 }
 
-// failFaulted writes the 500 for the request whose own operation
-// panicked. The fault record is written by the engine's containment
-// handler, which runs AFTER the job's deferred finish woke this
-// goroutine — a bounded wait bridges that gap so the response carries the
-// fault detail instead of racing it.
-func (s *Server) failFaulted(w http.ResponseWriter, key string, set uint64) {
-	var err error
-	for i := 0; i < 100; i++ {
-		if err = s.rt.SetErr(set); err != nil {
-			break
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+// failFaulted writes the 500 for the request whose own backend call
+// panicked, attaching the recovered fault.
+func (s *Server) failFaulted(w http.ResponseWriter, key string, fault error) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusInternalServerError)
 	fmt.Fprintf(w, "request for key %q panicked; key poisoned for the current epoch\n", key)
-	if err != nil {
-		fmt.Fprintf(w, "fault: %v\n", err)
-	}
+	fmt.Fprintf(w, "fault: %v\n", fault)
 }

@@ -11,9 +11,9 @@ import (
 )
 
 // latencyBounds are the request-latency bucket upper bounds in
-// microseconds: sub-millisecond resolution where a delegated handler
-// normally lands, decade coverage up to 1s for rotation-barrier and
-// overload tails.
+// microseconds: sub-millisecond resolution where an in-process handler
+// normally lands, decade coverage up to 1s for slow-key and overload
+// tails.
 var latencyBounds = []int64{
 	50, 100, 250, 500, 1000, 2500, 5000, 10000,
 	25000, 50000, 100000, 250000, 500000, 1000000,
@@ -21,7 +21,7 @@ var latencyBounds = []int64{
 
 // depthBounds bucket the jobs-channel occupancy observed at admission —
 // the serving tier's queue-depth distribution, the early-warning signal
-// that the router (or a rotation barrier) is falling behind.
+// that the router is falling behind.
 var depthBounds = []int64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096}
 
 // metrics is the serving tier's metric set. Hot-path updates (observe,
@@ -35,12 +35,13 @@ type metrics struct {
 	depth   *prometheus.Histogram   // jobs-channel occupancy at admission
 
 	served           atomic.Uint64 // requests answered by their backend
-	droppedJobs      atomic.Uint64 // jobs resolved dropped (poison fast path or epoch sweep)
+	droppedJobs      atomic.Uint64 // jobs resolved dropped on a poisoned key (delivery fast path or behind the fault)
 	admissionRejects atomic.Uint64 // 503s: inflight budget, queue full, draining
 	rateRejects      atomic.Uint64 // 429s: per-set token bucket
 	poisonRejects    atomic.Uint64 // fast-path 500s: key already poisoned at admission
-	faultResponses   atomic.Uint64 // 500s after delegation: faulted or dropped
-	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, queue front, backend, sweep)
+	faultResponses   atomic.Uint64 // 500s after admission: faulted or dropped
+	panics           atomic.Uint64 // handler panics recovered (each poisons its key for the epoch)
+	expired          atomic.Uint64 // 504s: request budget exhausted (delivery, waiting for the key's turn, backend)
 	shedDegraded     atomic.Uint64 // 503s: slow-key watchdog shed at delivery
 	retries          atomic.Uint64 // retry attempts armed after backend failures
 	backendFailures  atomic.Uint64 // backend error returns (pre-retry; includes all-gated)
@@ -77,9 +78,9 @@ func (m *metrics) observe(set uint64, lat time.Duration) {
 
 // handleMetrics renders the Prometheus text exposition format by hand
 // (text/plain; version 0.0.4) — counters, per-shard latency histograms
-// with quantile estimates, the queue-depth histogram, per-delegate
-// backlog gauges, and the engine counters from the last epoch-rotation
-// snapshot. Scrape-path cost is irrelevant; only Observe is hot.
+// with quantile estimates, the queue-depth histogram, per-backend health,
+// and the fault and epoch counters. Scrape-path cost is irrelevant; only
+// Observe is hot.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := s.metrics
 	var b strings.Builder
@@ -92,7 +93,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("ss_admission_rejects_total", "Requests rejected 503 at admission (budget, queue, draining).", m.admissionRejects.Load())
 	counter("ss_ratelimit_rejects_total", "Requests rejected 429 by the per-set token bucket.", m.rateRejects.Load())
 	counter("ss_poisoned_rejects_total", "Requests rejected 500 at admission on an already-poisoned key.", m.poisonRejects.Load())
-	counter("ss_fault_responses_total", "Requests answered 500 after delegation (faulted or dropped).", m.faultResponses.Load())
+	counter("ss_fault_responses_total", "Requests answered 500 after admission (faulted or dropped).", m.faultResponses.Load())
 	counter("ss_requests_expired_total", "Requests answered 504: budget exhausted before a backend answer.", m.expired.Load())
 	counter("ss_requests_shed_total", "Requests answered 503 by the slow-key watchdog.", m.shedDegraded.Load())
 	counter("ss_retries_total", "Retry attempts armed after backend failures.", m.retries.Load())
@@ -155,13 +156,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	histogram("ss_jobs_queue_depth", "Router jobs-channel occupancy observed at admission.", "", m.depth)
 
-	fmt.Fprintf(&b, "# HELP ss_delegate_backlog Outstanding operations per delegate context.\n# TYPE ss_delegate_backlog gauge\n")
-	for i, d := range s.rt.QueueDepths(make([]uint64, 0, 16)) {
-		fmt.Fprintf(&b, "ss_delegate_backlog{delegate=\"%d\"} %d\n", i+1, d)
-	}
-	fmt.Fprintf(&b, "# HELP ss_delegates Delegates currently active in the pool.\n# TYPE ss_delegates gauge\nss_delegates %d\n",
-		s.rt.ActiveDelegates())
-
 	// Per-backend health, when the backend exposes it (a Pool does):
 	// breaker state as an enum gauge plus failure/open/denial counters, so
 	// a dashboard (and ssload's assertions) can watch a backend leave and
@@ -197,7 +191,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 
-	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Serialization sets poisoned in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.rt.PoisonedCount())
+	fmt.Fprintf(&b, "# HELP ss_poisoned_keys Serialization sets poisoned in the current epoch.\n# TYPE ss_poisoned_keys gauge\nss_poisoned_keys %d\n", s.poison.Load().n.Load())
 	if s.slow != nil {
 		fmt.Fprintf(&b, "# HELP ss_degraded_keys Keys currently shed by the slow-key watchdog.\n# TYPE ss_degraded_keys gauge\nss_degraded_keys %d\n", s.slow.degradedCount())
 	}
@@ -205,16 +199,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&b, "# HELP ss_ratelimit_buckets Live per-key token buckets.\n# TYPE ss_ratelimit_buckets gauge\nss_ratelimit_buckets %d\n", s.limiter.size())
 	}
 
-	st := s.Stats()
-	counter("ss_runtime_panics_total", "Delegated-operation panics contained by the engine.", st.Panics)
-	counter("ss_runtime_poisoned_sets_total", "Serialization sets ever poisoned by a contained panic.", st.PoisonedSets)
-	counter("ss_runtime_dropped_ops_total", "Delegations dropped on poisoned sets by the engine.", st.DroppedOps)
-	counter("ss_runtime_dropped_faults_total", "Fault records evicted by the bounded retention ring.", st.DroppedFaults)
-	counter("ss_runtime_steals_total", "Whole-set handoffs by the occupancy-aware rebalancer.", st.Steals)
-	counter("ss_runtime_epochs_total", "Isolation epochs begun (the rotation cadence).", st.Epochs)
-	counter("ss_runtime_delegations_total", "Operations delegated to the pool.", st.Delegations)
-	counter("ss_resize_total", "Delegate-pool resizes applied at epoch boundaries.", st.Resizes)
-	counter("ss_resize_evacuated_sets", "Sets evacuated off retiring delegates by scale-downs.", st.ResizeEvacuatedSets)
+	counter("ss_runtime_panics_total", "Handler panics recovered; each poisons its key for the epoch.", m.panics.Load())
+	counter("ss_runtime_epochs_total", "Epochs begun (the rotation cadence).", s.epochs.Load())
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())

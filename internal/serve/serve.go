@@ -1,59 +1,50 @@
 // Package serve is the serving tier: serialization sets as a
 // session-affinity request router. Every request carries a key (user id,
-// session, tenant); the key hashes to a serialization set; the handler for
-// the request is delegated to that set. The model then gives the serving
-// property for free: requests for one key execute in arrival order on one
-// delegate at a time — per-key causal order with no per-session locks —
-// while requests for different keys run concurrently across the delegate
-// pool, rebalanced by the occupancy-aware whole-set stealer when the key
-// distribution skews. A request that panics is contained by the engine:
-// its key's set is poisoned for the rest of the isolation epoch (those
-// requests fail fast with the fault attached) and every other key keeps
-// serving.
+// session, tenant); the key hashes to a serialization set; the requests of
+// one set run one at a time, in the order the router delivered them —
+// per-key causal order with no per-session locks — while requests for
+// different keys run concurrently. A request that panics is contained: its
+// key is poisoned for the rest of the epoch (those requests fail fast with
+// the fault attached) and every other key keeps serving.
 //
-// The router goroutine owns the runtime — it is the program context, the
-// only goroutine that calls Runtime methods other than the any-goroutine
-// query surface (Poisoned, SetErr, QueueDepths, Stats snapshots). HTTP
-// handler goroutines talk to it through one bounded jobs channel and wait
-// on a per-job done channel:
+// Each request runs on its own handler goroutine. The router goroutine is
+// the per-key sequencer: it links every job onto its session's turn chain,
+// whose link is the completion signal of the key's newest granted attempt,
+// and grants the job back to its goroutine. That goroutine waits for its
+// predecessor's signal, runs the backend, and releases the turn:
 //
-//	handler goroutine             router (program ctx)          delegate
+//	handler goroutine                  router
 //	  admission / rate gates
-//	  jobs <- job ───────────────▶ DelegateTo(set, run) ───────▶ handler fn
-//	  <-job.done ◀──────────────────────────────────────────────  finish
+//	  jobs <- job ───────────────────▶ link: job.prev = sess.tail
+//	                                         sess.tail = job.turn
+//	  <-job.grant ◀────────────────────── grant
+//	  <-job.prev (the key's previous attempt)
+//	  backend, watchdog, journal
+//	  close(job.turn) ──▶ the key's next request may run
 //
-// Request lifecycle around faults. The delegated closure finishes the job
-// from a deferred call, so a panicking handler still completes its own
-// request (defers run during unwinding, before the engine's containment
-// recover). A delegation raced by a poison landing between the router's
-// check and the drain seam is dropped-but-counted by the engine and its
-// done channel would never close; the router sweeps those at the next
-// epoch rotation — after the EndIsolation barrier, every job the epoch
-// delegated has either finished or was deterministically dropped, so the
-// sweep is exact, not heuristic.
+// A slow request therefore delays only its own key's later requests: the
+// router never waits for a request, and requests for other keys do not
+// queue behind it. The turn hand-off is one channel close, which also carries the
+// happens-before edge from one request's session writes to the next.
 //
-// Epochs rotate on a timer. Rotation is the serving tier's repair loop:
-// the barrier proves the pool quiescent, dropped and expired jobs are
-// swept to definitive answers, the stats snapshot is republished,
-// BeginIsolation clears the poison table so a faulted key starts serving
-// again (its fault records remain queryable), the slow-key watchdog
-// heals, and the rate limiter evicts idle buckets. The rotation barrier
-// briefly parks the router, so admission backpressure (bounded jobs
-// channel, inflight budget) is what bounds the latency blip: everything
-// accepted before the barrier is already in delegate queues, which the
-// barrier itself drains.
+// Epochs rotate on a timer. Rotation is the serving tier's repair loop: it
+// swaps in an empty poison table so a faulted key starts serving again,
+// the slow-key watchdog heals, the rate limiter evicts idle buckets, and
+// durable sessions take their snapshot (durability.go). Rotation waits for
+// no request: a request's epoch is the one it was delivered in, and the
+// durable cut reads the post-state records requests store, not the
+// sessions they are mutating.
 //
 // Between the router and the work it runs sits the robustness layer
 // (backend.go, breaker.go, deadline.go): a pluggable Backend interface
 // (in-process handlers, HTTP upstream proxies, chaos wrappers) optionally
 // gated per backend by a circuit breaker behind a rotation Pool;
 // per-request deadlines fixed at admission and enforced wherever the tier
-// holds the request (delivery, queue front, backend context, epoch
-// sweep — an expired request resolves to a definitive 504, never a parked
-// done-channel); retry with capped jittered backoff for idempotent
-// requests, re-delegated through the router so per-key order holds across
-// attempts; and a slow-key watchdog that degrades a persistently-slow key
-// to 503 sheds instead of letting it starve its set's epoch-mates.
+// holds the request (delivery, waiting for the key's turn, the backend
+// context) — an expired request resolves to a definitive 504; retry with
+// capped jittered backoff for idempotent requests, relinked by the router
+// at the key's chain tail so per-key order holds across attempts; and a
+// slow-key watchdog that degrades a persistently-slow key to 503 sheds.
 package serve
 
 import (
@@ -61,6 +52,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -68,10 +61,10 @@ import (
 	"repro/internal/durable"
 )
 
-// Session is the per-key state a handler mutates. All access happens
-// inside delegated operations of the key's serialization set, so handlers
-// never lock it: per-set program order is the mutual exclusion, and the
-// delegation queues carry the happens-before edges between requests.
+// Session is the per-key state a handler mutates. Only the request that
+// holds the key's turn touches it, so handlers never lock it: per-key turn
+// order is the mutual exclusion, and the turn hand-off carries the
+// happens-before edge between requests.
 type Session struct {
 	Key string // the request key this session serves
 	Set uint64 // the serialization set the key hashed to
@@ -79,49 +72,37 @@ type Session struct {
 
 	// Data is scratch state for handlers (a tiny per-key KV).
 	Data map[string]string
+
+	// tail is the turn of the key's newest granted attempt; the next
+	// attempt the router links waits for it. Router only.
+	tail chan struct{}
+	// rec is the encoded post-state of the session's latest executed
+	// request, stored under the durability read lock and read by the
+	// rotation capture (see durability.go). Nil without Config.StateFS.
+	rec []byte
 }
 
-// Handler executes one request against its key's session, on a delegate
-// context. It must not retain s or r beyond the call, must not call
-// Runtime methods, and may panic: a panic is contained by the engine,
+// Handler executes one request against its key's session, on the
+// request's own goroutine while it holds the key's turn. It must not
+// retain s or r beyond the call and may panic: the panic is recovered,
 // fails this request with the fault attached, and poisons the key for the
 // rest of the epoch while every other key keeps serving. When
 // Config.RequestTimeout is set, r.Context() carries the request's
 // deadline; a cooperative handler bounds its own work with it (an
-// uncooperative one is handled by queue-front shedding and the slow-key
-// watchdog instead — see deadline.go).
+// uncooperative one delays only its own key: the requests waiting behind
+// it expire on their own deadlines, and the slow-key watchdog sheds the
+// key — see deadline.go).
 type Handler func(s *Session, r *http.Request) (status int, body string)
 
 // Config parameterizes a Server.
 type Config struct {
-	// Delegates sets the runtime's INITIAL delegate-context pool size
-	// (default GOMAXPROCS-1, the runtime's own default).
-	Delegates int
-	// MaxDelegates sets the pool capacity ceiling for live resizes
-	// (runtime structures are pre-allocated to it). 0 fixes the pool at
-	// Delegates: no autoscaling, /admin/resize rejected.
-	MaxDelegates int
-	// MinDelegates floors the autoscaler's scale-down (default 1). Manual
-	// /admin/resize may go below it — the floor bounds the feedback loop,
-	// not the operator.
-	MinDelegates int
-	// Autoscale enables the rotation-driven autoscaler: at each epoch
-	// rotation the router folds mean delegate occupancy into an EWMA and
-	// steps the pool ±1 delegate when it leaves the target band, clamped
-	// to [MinDelegates, MaxDelegates], with AutoscaleCooldown rotations
-	// between steps. Requires MaxDelegates.
-	Autoscale bool
-	// AutoscaleCooldown is the number of epoch rotations between resize
-	// decisions (default 3) — resizes re-place owner state, so the band
-	// check must see post-resize occupancy settle before stepping again.
-	AutoscaleCooldown int
 	// Shards sets the latency-metric shard count: a key's set is metered
 	// under shard set%Shards, bounding metric cardinality under unbounded
 	// keys. Default 8.
 	Shards int
 	// MaxInflight is the admission budget: requests admitted past the
 	// gates and not yet answered. Above it requests are rejected with 503
-	// before touching the runtime. Default 1024.
+	// before touching the router. Default 1024.
 	MaxInflight int
 	// QueueDepth bounds the handler→router jobs channel; a full channel
 	// rejects with 503 (backpressure, never unbounded buffering).
@@ -131,23 +112,22 @@ type Config struct {
 	// requests/second and requests. Rate 0 disables rate limiting.
 	Rate  float64
 	Burst float64
-	// EpochInterval is the rotation period — the poison-repair and
-	// dropped-job-sweep cadence. Default 100ms.
+	// EpochInterval is the rotation period — the poison-repair, watchdog
+	// heal and snapshot cadence. Default 100ms.
 	EpochInterval time.Duration
-	// DrainTimeout bounds Drain: how long to wait for inflight requests
-	// before logging a straggler report (with the scheduler dump) and
-	// terminating anyway. Default 5s.
+	// DrainTimeout bounds Drain's quiet wait: how long to wait for
+	// inflight requests before logging a straggler report. Default 5s.
 	DrainTimeout time.Duration
 	// RequestTimeout is the per-request budget, fixed at admission. A
 	// request whose budget expires before its backend can run resolves to a
-	// definitive 504 (at delivery, at the queue front, or at the epoch
-	// sweep — see deadline.go); a backend running when it expires sees the
+	// definitive 504 (at delivery or while waiting for its key's turn —
+	// see deadline.go); a backend running when it expires sees the
 	// deadline on its context. 0 disables deadlines.
 	RequestTimeout time.Duration
 	// RetryMax caps retry attempts for idempotent requests after backend
 	// failures (0 = no retries). Retries re-enter the router and are
-	// re-delegated through the key's serialization set, preserving per-key
-	// order across attempts.
+	// relinked at the key's chain tail, preserving per-key order across
+	// attempts.
 	RetryMax int
 	// RetryBase and RetryCap shape the capped exponential backoff between
 	// attempts (base doubles per attempt, jittered ±50%, capped). Defaults
@@ -174,8 +154,8 @@ type Config struct {
 	// Backend: NewHandlerBackend("inprocess", Handler).
 	Handler Handler
 	// StateFS, when set, enables durable sessions: the session table is
-	// snapshotted at every epoch rotation (write-behind, riding the
-	// quiescent window the EndIsolation barrier proves), journaled between
+	// snapshotted at every epoch rotation (write-behind, from the
+	// post-state records executed requests store), journaled between
 	// rotations, and rebuilt from storage at the next New before admission
 	// opens. Use durable.NewDirFS for a real state directory,
 	// durable.NewMemFS in tests, chaos.WrapFS for fault drills. Nil
@@ -240,19 +220,6 @@ func (c *Config) withDefaults() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.Autoscale && c.MaxDelegates <= 0 {
-		return fmt.Errorf("serve: Config.Autoscale requires Config.MaxDelegates")
-	}
-	if c.MinDelegates <= 0 {
-		c.MinDelegates = 1
-	}
-	if c.MaxDelegates > 0 && c.MinDelegates > c.MaxDelegates {
-		return fmt.Errorf("serve: Config.MinDelegates %d exceeds Config.MaxDelegates %d",
-			c.MinDelegates, c.MaxDelegates)
-	}
-	if c.AutoscaleCooldown <= 0 {
-		c.AutoscaleCooldown = 3
-	}
 	return nil
 }
 
@@ -266,14 +233,14 @@ func defaultKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
-// Job outcomes, CAS-guarded: exactly one of the delegated operation, the
-// router's fast-path finishes (poisoned, degraded, expired at delivery),
-// and the epoch sweep wins, and the winner closes done.
+// Job outcomes. A job is resolved once per request, by exactly one side:
+// the router's delivery fast paths (expired, poisoned, degraded) before it
+// grants the job, or the request goroutine after the grant.
 const (
 	outcomePending uint32 = iota
 	outcomeServed         // backend produced a definitive answer (status/body are valid, including 502 on a non-retryable backend failure)
-	outcomeFaulted        // handler panicked; fault contained, set poisoned
-	outcomeDropped        // delegation dropped on a poisoned set (router fast path or engine seam + sweep)
+	outcomeFaulted        // handler panicked; fault recovered, key poisoned
+	outcomeDropped        // key poisoned before the request could run (delivery fast path or behind the fault in the chain)
 	outcomeExpired        // request budget expired before the backend could answer (504)
 	outcomeShed           // slow-key watchdog degraded the key (503)
 )
@@ -282,32 +249,60 @@ type job struct {
 	key      string
 	set      uint64
 	r        *http.Request
-	status   int
-	body     string
-	outcome  atomic.Uint32
-	done     chan struct{}
 	start    time.Time
 	deadline time.Time // zero = no budget (Config.RequestTimeout off)
 
-	// attempt counts backend attempts already made. Written by the
-	// delegate arming a retry, read by the router at redelivery; the retry
-	// timer's channel send carries the happens-before edge.
+	// grant carries one token per delivery from the router to the request
+	// goroutine. Before sending it the router either resolved the job
+	// (outcome set) or linked the attempt into the key's turn chain (sess,
+	// prev, turn and poison set).
+	grant  chan struct{}
+	sess   *Session
+	prev   chan struct{} // turn of the key's previous attempt; nil = none
+	turn   chan struct{} // closed when this attempt releases the key
+	poison *poisonTable  // the delivery epoch's fault table
+
+	outcome uint32
+	status  int
+	body    string
+	fault   error // the fault a faulted or dropped job reports
+
+	// attempt counts backend attempts already made (request goroutine).
 	attempt int
-	// retryArmed marks a job owned by its retry timer: not finished, not
-	// in flight, waiting to re-enter the jobs channel. The epoch sweep
-	// skips armed jobs (their delegation completed — the barrier proved
-	// it — and the timer will re-deliver them); delivery clears the flag.
-	retryArmed atomic.Bool
 }
 
-// finish resolves the job to outcome o exactly once; the winning caller
-// closes done and wakes the handler goroutine.
-func (j *job) finish(o uint32) bool {
-	if j.outcome.CompareAndSwap(outcomePending, o) {
-		close(j.done)
-		return true
+// poisonTable is one epoch's record of faulted keys: the fault (value and
+// stack) per set. Rotation replaces the whole table, and each job keeps
+// the table of the epoch it was delivered in, so a request chained behind
+// a fault is dropped even when a rotation lands while it waits.
+type poisonTable struct {
+	epoch uint64
+	n     atomic.Int32 // entries: the fault-free lookup is one atomic load
+	mu    sync.Mutex
+	m     map[uint64]error
+}
+
+// fault returns the fault that poisoned set in this epoch, or nil.
+func (p *poisonTable) fault(set uint64) error {
+	if p.n.Load() == 0 {
+		return nil
 	}
-	return false
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.m[set]
+}
+
+// add poisons set with err; the key's first fault of the epoch is kept.
+func (p *poisonTable) add(set uint64, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.m == nil {
+		p.m = make(map[uint64]error)
+	}
+	if _, ok := p.m[set]; !ok {
+		p.m[set] = err
+		p.n.Add(1)
+	}
 }
 
 // Server is the serving tier instance. Create with New, expose Handler()
@@ -322,33 +317,20 @@ type Server struct {
 	inflight atomic.Int64
 	draining atomic.Bool
 
-	// Router-private state (program context only).
-	rt        *prometheus.Runtime
-	w         *prometheus.Writable[routerState]
-	sessions  map[uint64]*Session
-	epochJobs []*job
+	// poison is the current epoch's fault table; rotation swaps in an empty
+	// one. epochs counts the epochs begun.
+	poison atomic.Pointer[poisonTable]
+	epochs atomic.Uint64
 
-	// statsSnap republishes the router's Stats() snapshot at each
-	// rotation so the any-goroutine metrics scrape never calls Stats
-	// itself (Stats reads program-private counters).
-	statsSnap atomic.Pointer[prometheus.Stats]
-
-	// Autoscaler state. occEWMA and cooldown are router-private;
-	// resizeTarget carries a manual /admin/resize target (0 = none) from
-	// the handler to the router, which applies it at the next rotation —
-	// engine reconfiguration stays on the program context's schedule even
-	// when the request arrives on an arbitrary goroutine.
-	occEWMA      float64
-	cooldown     int
-	resizeTarget atomic.Int64
-	depthBuf     []uint64 // router-private QueueDepths scratch
+	sessions map[uint64]*Session // router only (then drain)
 
 	// Durability (see durability.go; all nil/zero without Config.StateFS).
 	store      *durable.Store
-	journal    atomic.Pointer[durable.Journal] // swapped by the router at capture
-	snapGen    uint64                          // generation counter (router, then drain)
-	dirty      atomic.Bool                     // a request executed since the last capture
-	snapCh     chan snapCapture                // router → write-behind committer, capacity 1
+	cut        sync.RWMutex     // executed requests store post-state under R; the rotation capture takes W
+	journal    *durable.Journal // guarded by cut
+	snapGen    uint64           // generation counter (router, then drain)
+	dirty      atomic.Bool      // a request executed since the last capture
+	snapCh     chan snapCapture // router → write-behind committer, capacity 1
 	writerDone chan struct{}
 	recovered  recoveryInfo // frozen before the router starts
 
@@ -357,14 +339,8 @@ type Server struct {
 	killCh   chan struct{} // test hook: abrupt router death, no drain, no flush
 }
 
-// routerState is the Writable payload. Per-key state lives in Session
-// objects the router threads through delegated closures; the wrapper
-// exists to address the delegation API, so its object is empty.
-type routerState struct{}
-
-// New validates cfg, starts the router goroutine (which owns the runtime:
-// the goroutine that calls Init is the program context), and returns once
-// the first isolation epoch is open and the server is accepting work.
+// New validates cfg, recovers durable state when configured, and starts
+// the router; the server is accepting work when it returns.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
@@ -378,6 +354,8 @@ func New(cfg Config) (*Server, error) {
 		routerWG: make(chan struct{}),
 		killCh:   make(chan struct{}),
 	}
+	s.epochs.Store(1)
+	s.poison.Store(&poisonTable{epoch: 1})
 	if cfg.Rate > 0 {
 		s.limiter = newLimiter(cfg.Rate, cfg.Burst)
 	}
@@ -392,41 +370,15 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 	}
-	ready := make(chan struct{})
-	go s.router(ready)
-	<-ready
+	go s.router()
 	return s, nil
 }
 
-// router is the program context: it creates the runtime, keeps an
-// isolation epoch open, delegates jobs, rotates epochs on a timer, and
-// performs the final drain. It is the only goroutine that calls Runtime
-// methods outside the documented any-goroutine query surface.
-func (s *Server) router(ready chan struct{}) {
+// router is the per-key sequencer: it links jobs into their keys' turn
+// chains, rotates epochs on a timer, and performs the final drain. It is
+// the only goroutine that touches the session table and the chain tails.
+func (s *Server) router() {
 	defer close(s.routerWG)
-	opts := []prometheus.Option{
-		prometheus.WithPolicy(prometheus.LeastLoaded),
-		prometheus.WithStealing(),
-		// Delegation batching is off: the batch buffer flushes on the
-		// program context's NEXT runtime call, and this router parks in a
-		// select between deliveries — a buffered tail would strand its
-		// requests (handlers waiting on done channels) until the next
-		// rotation. The jobs channel already amortizes the handoff.
-		prometheus.WithDelegateBatch(1),
-	}
-	if s.cfg.Delegates > 0 {
-		opts = append(opts, prometheus.WithDelegates(s.cfg.Delegates))
-	}
-	if s.cfg.MaxDelegates > 0 {
-		opts = append(opts, prometheus.WithMaxDelegates(s.cfg.MaxDelegates))
-	}
-	s.rt = prometheus.Init(opts...)
-	s.w = prometheus.NewWritableSer(s.rt, routerState{}, prometheus.NullSerializer[routerState]())
-	s.rt.BeginIsolation()
-	st := s.rt.Stats()
-	s.statsSnap.Store(&st)
-	close(ready)
-
 	tick := time.NewTicker(s.cfg.EpochInterval)
 	defer tick.Stop()
 	for {
@@ -441,140 +393,191 @@ func (s *Server) router(ready chan struct{}) {
 			return
 		case <-s.killCh:
 			// Test hook: die the way a SIGKILL would — no drain, no final
-			// snapshot, no journal flush, runtime abandoned. What the
-			// durability layer already pushed to its FS is all a successor
-			// recovers; the journal's user-space buffer dies with us.
+			// snapshot, no journal flush. What the durability layer already
+			// pushed to its FS is all a successor recovers; the journal's
+			// user-space buffer dies with us.
 			return
 		}
 	}
 }
 
 // kill abruptly stops the router for crash-recovery tests. Unlike Drain it
-// resolves nothing: inflight requests park forever, buffered journal bytes
-// are lost, the runtime leaks. Call only from tests, at a quiescent point.
+// resolves nothing: inflight requests park forever and buffered journal
+// bytes are lost. Call only from tests, at a quiescent point.
 func (s *Server) kill() {
 	close(s.killCh)
 	<-s.routerWG
 }
 
-// deliver routes one job: deadline and degradation fast paths, poisoned
-// fast path, session lookup, delegation. Handles both fresh arrivals and
-// retry re-entries (retryArmed is cleared here — from this point the job
-// is in flight again). Program context only.
+// deliver routes one job — a fresh arrival or a retry re-entry — and
+// grants it back to its request goroutine: resolved by a fast path
+// (expired, poisoned, degraded), or linked at the tail of its key's turn
+// chain. Router only.
 func (s *Server) deliver(j *job) {
-	j.retryArmed.Store(false)
+	poison := s.poison.Load()
 	if !j.deadline.IsZero() && time.Now().After(j.deadline) {
 		// The budget expired while the job sat in the channel (or while a
-		// retry backoff ran): resolve the 504 without paying a delegation.
-		if j.finish(outcomeExpired) {
-			s.metrics.expired.Add(1)
-		}
-		return
-	}
-	if s.rt.Poisoned(j.set) {
-		// The epoch's poison landed before this job was delegated: fail it
-		// now instead of paying the delegation just to drop it at a seam.
-		if j.finish(outcomeDropped) {
-			s.metrics.droppedJobs.Add(1)
-		}
-		return
-	}
-	if s.slow != nil && s.slow.degraded(j.set) {
+		// retry backoff ran): resolve the 504 without linking it.
+		j.outcome = outcomeExpired
+		s.metrics.expired.Add(1)
+	} else if j.fault = poison.fault(j.set); j.fault != nil {
+		// The key faulted earlier this epoch: fail the job now instead of
+		// linking it just to drop it at its turn.
+		j.outcome = outcomeDropped
+		s.metrics.droppedJobs.Add(1)
+	} else if s.slow != nil && s.slow.degraded(j.set) {
 		// The watchdog degraded this key: shed instead of queueing behind
 		// work that would blow the budget anyway.
-		if j.finish(outcomeShed) {
-			s.metrics.shedDegraded.Add(1)
+		j.outcome = outcomeShed
+		s.metrics.shedDegraded.Add(1)
+	} else {
+		sess := s.sessions[j.set]
+		if sess == nil {
+			sess = &Session{Key: j.key, Set: j.set, Data: make(map[string]string)}
+			s.sessions[j.set] = sess
 		}
-		return
+		turn := make(chan struct{})
+		j.sess, j.prev, j.turn, j.poison = sess, sess.tail, turn, poison
+		sess.tail = turn
 	}
-	sess := s.sessions[j.set]
-	if sess == nil {
-		sess = &Session{Key: j.key, Set: j.set, Data: make(map[string]string)}
-		s.sessions[j.set] = sess
-	}
-	s.epochJobs = append(s.epochJobs, j)
-	s.w.DelegateTo(j.set, func(_ *prometheus.Ctx, _ *routerState) {
-		s.execute(j, sess)
-	})
+	j.grant <- struct{}{}
 }
 
-// execute runs one job's backend attempt on a delegate context. It owns
-// the job's resolution for this attempt: served (any definitive status,
-// including a 502/503 rendered from a non-retryable backend failure),
-// expired (queue-front shed or budget exhausted mid-backend), faulted
-// (handler panic — the deferred check fires during unwinding, before the
-// engine's containment recover, so the request completes AND the panic
-// still poisons the set), or none of these because a retry timer was
-// armed and the job will re-enter the router.
-func (s *Server) execute(j *job, sess *Session) {
+// await is the request goroutine's side of delivery: wait for the
+// router's grant, take the key's turn, and go round again for each retry.
+// It returns once the job has an outcome.
+func (s *Server) await(j *job) {
+	for {
+		<-j.grant
+		if j.outcome != outcomePending {
+			return
+		}
+		backoff, retry := s.takeTurn(j)
+		if !retry {
+			return
+		}
+		// The turn is already released, so the key's later requests run
+		// during the backoff; the retry then re-enters the router and is
+		// relinked at the chain tail, which keeps per-key order across
+		// attempts.
+		time.Sleep(backoff)
+		s.jobs <- j
+	}
+}
+
+// takeTurn waits for the key's previous attempt, runs this attempt, and
+// releases the turn. It reports the backoff of a retry it armed.
+func (s *Server) takeTurn(j *job) (backoff time.Duration, retry bool) {
+	if !s.waitTurn(j) {
+		return 0, false
+	}
+	defer close(j.turn)
+	if fault := j.poison.fault(j.set); fault != nil {
+		// An earlier request for this key faulted in the epoch this job was
+		// delivered in: drop it with the fault, as the fast paths do.
+		j.outcome, j.fault = outcomeDropped, fault
+		s.metrics.droppedJobs.Add(1)
+		return 0, false
+	}
+	return s.execute(j)
+}
+
+// waitTurn blocks until the key's previous attempt releases its turn. A
+// job whose deadline passes first resolves 504 without running and
+// reports false; its own turn is handed on only once the predecessor
+// completes, so two attempts for one key never overlap.
+func (s *Server) waitTurn(j *job) bool {
+	prev := j.prev
+	if prev == nil {
+		return true
+	}
+	select {
+	case <-prev:
+		return true
+	default:
+	}
+	if j.deadline.IsZero() {
+		<-prev
+		return true
+	}
+	t := time.NewTimer(time.Until(j.deadline))
+	defer t.Stop()
+	select {
+	case <-prev:
+		return true
+	case <-t.C:
+	}
+	j.outcome = outcomeExpired
+	s.metrics.expired.Add(1)
+	turn := j.turn
+	go func() {
+		<-prev
+		close(turn)
+	}()
+	return false
+}
+
+// execute runs one backend attempt while the job holds its key's turn. It
+// resolves the job — served (any definitive status, including a 502/503
+// rendered from a non-retryable backend failure), expired (the budget was
+// gone before the backend ran, or died inside it), or faulted (the
+// handler panicked: the fault is recorded in the delivery epoch's poison
+// table before the turn is released, so every request behind it drops) —
+// or arms a retry and reports its backoff.
+func (s *Server) execute(j *job) (time.Duration, bool) {
 	start := time.Now()
 	if !j.deadline.IsZero() && start.After(j.deadline) {
-		// Queue-front shed: the set's earlier work (a latency spike, a slow
-		// epoch-mate) consumed this request's budget before its turn came.
-		// Resolving 504 here — without running the backend — is what keeps
-		// one slow request from cascading into a wedged key.
-		if j.finish(outcomeExpired) {
-			s.metrics.expired.Add(1)
-		}
-		return
+		// The key's earlier work consumed this request's budget before its
+		// turn came: resolve 504 without running the backend.
+		j.outcome = outcomeExpired
+		s.metrics.expired.Add(1)
+		return 0, false
 	}
-	resolved := false
-	defer func() {
-		if !resolved {
-			j.finish(outcomeFaulted)
-		}
-	}()
 	ctx := context.Background()
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
 		defer cancel()
 	}
+	sess := j.sess
 	sess.Seq++
-	status, body, err := s.cfg.Backend.Serve(ctx, sess, j.r)
+	status, body, err, fault := s.callBackend(ctx, j)
+	if fault != nil {
+		// A faulted request contributes no durable state and no watchdog
+		// sample.
+		j.poison.add(j.set, fault)
+		s.metrics.panics.Add(1)
+		j.outcome, j.fault = outcomeFaulted, fault
+		return 0, false
+	}
 	elapsed := time.Since(start)
 	if s.slow != nil && s.slow.observe(j.set, elapsed) {
 		s.metrics.degradedKeys.Add(1)
 	}
 	if s.store != nil {
-		// Journal the session's post-state before the request can resolve:
+		// Persist the session's post-state before the request can resolve:
 		// under FsyncAlways the record is durable before the ack goes out.
-		// A panicking handler unwinds past this point, journaling nothing —
-		// a faulted operation contributes no durable state, matching the
-		// engine's "no partial side effects" containment contract.
-		s.journalSession(sess)
-		s.dirty.Store(true)
+		s.persist(sess)
 	}
 	if err == nil {
 		j.status, j.body = status, body
-		resolved = true
-		j.finish(outcomeServed)
-		return
+		j.outcome = outcomeServed
+		return 0, false
 	}
 	s.metrics.backendFailures.Add(1)
-	resolved = true // the failure paths below all resolve or arm a retry; only a panic above leaves !resolved
 	if !j.deadline.IsZero() && !time.Now().Before(j.deadline) {
 		// The budget died inside the backend (deadline-context timeout or a
 		// failure that arrived at the boundary): this is a 504, not a 502,
 		// and retrying is pointless.
-		if j.finish(outcomeExpired) {
-			s.metrics.expired.Add(1)
-		}
-		return
+		j.outcome = outcomeExpired
+		s.metrics.expired.Add(1)
+		return 0, false
 	}
 	backoff := s.backoffFor(j)
 	if s.retryable(j, backoff) {
-		// Arm the retry OFF the delegate: backing off inline would hold the
-		// set hostage. The timer re-enters the jobs channel, the router
-		// re-delegates through the same set, and per-key order holds across
-		// attempts by construction. retryArmed must be set before the timer
-		// exists so the epoch sweep (which runs after the barrier proved
-		// this operation finished) observes it.
 		j.attempt++
-		j.retryArmed.Store(true)
 		s.metrics.retries.Add(1)
-		time.AfterFunc(backoff, func() { s.jobs <- j })
-		return
+		return backoff, true
 	}
 	// Out of budget, attempts, or idempotency: render the failure.
 	if errors.Is(err, ErrNoBackend) {
@@ -584,155 +587,53 @@ func (s *Server) execute(j *job, sess *Session) {
 		j.status = http.StatusBadGateway
 		j.body = fmt.Sprintf("backend failure after %d attempt(s): %v\n", j.attempt+1, err)
 	}
-	j.finish(outcomeServed)
+	j.outcome = outcomeServed
+	return 0, false
 }
 
-// rotate closes the epoch and opens the next: the barrier proves the pool
-// quiescent, the sweep resolves jobs whose delegations were dropped on a
-// poison seam (their done channels would otherwise never close), the
-// stats snapshot republishes, and BeginIsolation clears the poison table
-// so faulted keys resume serving. Rotation is also the tier's maintenance
-// cadence: the slow-key watchdog heals, and the rate limiter evicts idle
-// buckets. Program context only.
+// callBackend runs the backend, recovering a panic into a fault that
+// carries the panic value and the stack captured during unwinding (it
+// includes the panicking frames). The fault has the runtime's error shape:
+// a *prometheus.Error of kind ErrPanic wrapping a *prometheus.PanicError.
+func (s *Server) callBackend(ctx context.Context, j *job) (status int, body string, err, fault error) {
+	defer func() {
+		if v := recover(); v != nil {
+			pe := &prometheus.PanicError{Set: j.set, Epoch: j.poison.epoch, Value: v, Stack: debug.Stack()}
+			fault = &prometheus.Error{Kind: prometheus.ErrPanic, Msg: pe.Error(), Err: pe}
+		}
+	}()
+	status, body, err = s.cfg.Backend.Serve(ctx, j.sess, j.r)
+	return status, body, err, nil
+}
+
+// rotate closes the epoch and opens the next: an empty poison table lets
+// faulted keys serve again, the slow-key watchdog heals, the rate limiter
+// evicts idle buckets, and durable sessions take their capture. Nothing
+// here waits for a running request. Router only.
 func (s *Server) rotate() {
-	// Occupancy is sampled BEFORE the barrier: the closing epoch's backlog
-	// is the load signal, and the barrier is about to drain it to zero.
-	occ := s.sampleOccupancy()
-	s.rt.EndIsolation()
-	s.sweepEpochJobs()
-	s.epochJobs = s.epochJobs[:0]
+	s.poison.Store(&poisonTable{epoch: s.epochs.Add(1)})
 	if s.slow != nil {
 		s.slow.heal()
 	}
 	if s.limiter != nil {
 		s.metrics.bucketsEvicted.Add(uint64(s.limiter.sweep(time.Now())))
 	}
-	// The barrier just proved the pool quiescent: no delegate is mutating
-	// any Session, so this window is a consistent cut across every key —
-	// where the durable-session capture rides (see durability.go).
 	s.rotateDurable()
-	// Record any resize intent now; the BeginIsolation below is the epoch
-	// boundary that applies it, so `ss_delegates` moves on this rotation.
-	s.maybeResize(occ)
-	s.rt.BeginIsolation()
-	st := s.rt.Stats()
-	s.statsSnap.Store(&st)
 }
 
-// Autoscaler band: mean outstanding operations per active delegate. Above
-// the high mark the pool is queueing (scale up); below the low mark with
-// more than the floor active, delegates are idling (scale down). The gap
-// between the marks is the hysteresis that keeps a steady load from
-// oscillating the pool.
-const (
-	autoscaleHighOcc = 2.0
-	autoscaleLowOcc  = 0.5
-	// autoscaleAlpha is the occupancy EWMA's smoothing weight per
-	// rotation: heavy enough that a one-rotation burst does not resize the
-	// pool, light enough that a sustained phase shift crosses the band
-	// within a few rotations.
-	autoscaleAlpha = 0.5
-)
-
-// sampleOccupancy returns the closing epoch's mean per-delegate load:
-// outstanding delegated operations plus jobs still waiting in the channel,
-// over the active pool. Program context, pre-barrier.
-func (s *Server) sampleOccupancy() float64 {
-	n := s.rt.ActiveDelegates()
-	if n == 0 {
-		return 0
-	}
-	s.depthBuf = s.rt.QueueDepths(s.depthBuf[:0])
-	var sum uint64
-	for _, d := range s.depthBuf {
-		sum += d
-	}
-	return (float64(sum) + float64(len(s.jobs))) / float64(n)
-}
-
-// maybeResize is the rotation-driven scaling decision: a manual
-// /admin/resize target always wins and resets the cooldown; otherwise,
-// with Autoscale on, the occupancy EWMA is stepped and compared against
-// the band. Resizes are single steps with a cooldown measured in
-// rotations — the engine applies them at epoch boundaries, so each step's
-// effect is observable before the next decision. Program context only.
-func (s *Server) maybeResize(occ float64) {
-	if tgt := s.resizeTarget.Swap(0); tgt > 0 {
-		if err := s.rt.Resize(int(tgt)); err != nil {
-			s.cfg.Logf("serve: manual resize to %d rejected: %v", tgt, err)
-		} else {
-			s.cooldown = s.cfg.AutoscaleCooldown
-		}
-		return
-	}
-	if !s.cfg.Autoscale {
-		return
-	}
-	s.occEWMA += autoscaleAlpha * (occ - s.occEWMA)
-	if s.cooldown > 0 {
-		s.cooldown--
-		return
-	}
-	active := s.rt.ActiveDelegates()
-	target := active
-	switch {
-	case s.occEWMA > autoscaleHighOcc && active < s.cfg.MaxDelegates:
-		target = active + 1
-	case s.occEWMA < autoscaleLowOcc && active > s.cfg.MinDelegates:
-		target = active - 1
-	}
-	if target == active {
-		return
-	}
-	if err := s.rt.Resize(target); err != nil {
-		s.cfg.Logf("serve: autoscale to %d rejected: %v", target, err)
-		return
-	}
-	s.cooldown = s.cfg.AutoscaleCooldown
-}
-
-// sweepEpochJobs resolves every job the closed epoch left pending. Runs
-// after the EndIsolation barrier, which proves each delegated operation
-// either executed or was deterministically dropped on a poison seam — so
-// a still-pending job here is either (a) dropped (500), or (b) armed for
-// retry (skipped: its operation DID execute, the arming is why it has no
-// outcome, and its timer owns re-delivery). A dropped job whose budget
-// has also expired resolves 504, not 500: the deadline is the promise the
-// tier made first, and "definitive 504 at the epoch sweep, never a parked
-// done-channel" is the deadline contract's backstop. Program context only.
-func (s *Server) sweepEpochJobs() {
-	now := time.Now()
-	for _, j := range s.epochJobs {
-		if j.retryArmed.Load() {
-			continue
-		}
-		if !j.deadline.IsZero() && now.After(j.deadline) {
-			if j.finish(outcomeExpired) {
-				s.metrics.expired.Add(1)
-			}
-			continue
-		}
-		if j.finish(outcomeDropped) {
-			s.metrics.droppedJobs.Add(1)
-		}
-	}
-}
-
-// drainRouter is the router's shutdown path: keep serving until every
-// admitted request is answered (admission is already closed, so inflight
-// only shrinks), then barrier, sweep, and terminate. The admission
-// handshake makes the inflight wait sound: a handler that passed the
-// draining check raised the inflight counter BEFORE loading the flag
+// drainRouter is the router's shutdown path: keep delivering and rotating
+// until every admitted request is answered (admission is already closed,
+// so inflight only shrinks), then persist the quiescent table. The
+// admission handshake makes the inflight wait sound: a handler that passed
+// the draining check raised the inflight counter BEFORE loading the flag
 // (sequentially-consistent order: its Add precedes its false Load, which
 // precedes Drain's Store, which precedes every Load below), so no request
-// can slip in behind an observed zero. If stragglers outlast
-// Config.DrainTimeout their count and the scheduler-ledger dump are
-// logged — the dump reads program-private counters, which is why this
-// wait runs on the router and not in Drain — and the wait then CONTINUES:
+// can slip in behind an observed zero. A request in a retry backoff counts
+// as inflight, so its re-entry is still delivered. If stragglers outlast
+// Config.DrainTimeout their count is logged and the wait CONTINUES:
 // abandoning it would drop accepted requests, the one thing drain exists
-// to prevent. A handler operation that never returns therefore wedges the
-// drain (as it would wedge the shutdown barrier); the straggler report is
-// the diagnosis, and the Watchdog option turns the wedge itself into one.
+// to prevent. A handler that never returns therefore wedges the drain; the
+// straggler report is the diagnosis.
 func (s *Server) drainRouter() {
 	deadline := time.Now().Add(s.cfg.DrainTimeout)
 	warned := false
@@ -741,61 +642,50 @@ func (s *Server) drainRouter() {
 	for s.inflight.Load() > 0 {
 		if !warned && time.Now().After(deadline) {
 			warned = true
-			s.cfg.Logf("serve: drain timeout: %d requests still inflight\n%s",
-				s.inflight.Load(), s.rt.SchedDump())
+			s.cfg.Logf("serve: drain timeout: %d requests still inflight", s.inflight.Load())
 		}
 		select {
 		case j := <-s.jobs:
 			s.deliver(j)
 		case <-tick.C:
-			// Keep rotating while waiting: the epoch sweep is what resolves
-			// jobs whose delegations were dropped on a poison seam, and a
-			// handler parked on one of those counts as inflight.
 			s.rotate()
 		case <-time.After(time.Millisecond):
 		}
 	}
-	for {
-		select {
-		case j := <-s.jobs:
-			s.deliver(j)
-			continue
-		default:
-		}
-		break
-	}
-	s.rt.EndIsolation()
-	s.sweepEpochJobs()
-	s.epochJobs = nil
-	st := s.rt.Stats()
-	s.statsSnap.Store(&st)
-	// Final barrier passed: the table is quiescent forever. Persist it
-	// synchronously — a clean drain is lossless under every fsync policy.
+	// Every request has returned, so no session is being mutated: persist
+	// the table synchronously — a clean drain is lossless under every
+	// fsync policy.
 	s.drainDurable()
-	s.rt.Terminate()
 }
 
 // Drain gracefully stops the server: admission closes (new requests get
-// 503), every admitted request is served to completion, the router runs
-// its final barrier — sweeping any poison-dropped jobs — and terminates
-// the runtime. Call after the HTTP listener has stopped accepting new
-// connections; call once.
+// 503), every admitted request is answered, and durable sessions commit a
+// final snapshot. Call after the HTTP listener has stopped accepting new
+// connections. It returns an error only when the server was already
+// drained.
 func (s *Server) Drain() error {
-	s.draining.Store(true)
+	if !s.draining.CompareAndSwap(false, true) {
+		return errors.New("serve: server already drained")
+	}
 	ack := make(chan struct{})
 	s.drainCh <- ack
 	<-ack
 	<-s.routerWG
-	if n := s.inflight.Load(); n > 0 {
-		return fmt.Errorf("serve: drained with %d requests unanswered", n)
-	}
 	return nil
 }
 
-// Stats returns the most recent epoch-rotation snapshot of the runtime
-// counters. Safe from any goroutine.
-func (s *Server) Stats() prometheus.Stats { return *s.statsSnap.Load() }
+// Stats is the serving tier's own account of its run.
+type Stats struct {
+	Epochs  uint64 // epochs begun: 1 at New, one more per rotation
+	Panics  uint64 // handler panics recovered (each poisons its key for the epoch)
+	Dropped uint64 // requests resolved dropped on a poisoned key
+}
 
-// ActiveDelegates reports the live delegate-pool size. Safe from any
-// goroutine; moves only at epoch rotations.
-func (s *Server) ActiveDelegates() int { return s.rt.ActiveDelegates() }
+// Stats returns the live counters. Safe from any goroutine.
+func (s *Server) Stats() Stats {
+	return Stats{
+		Epochs:  s.epochs.Load(),
+		Panics:  s.metrics.panics.Load(),
+		Dropped: s.metrics.droppedJobs.Load(),
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -325,7 +326,6 @@ func TestMetricsExposition(t *testing.T) {
 		"ss_request_latency_microseconds_bucket{shard=\"0\",le=\"50\"}",
 		"ss_request_latency_microseconds_quantile{shard=\"3\",q=\"0.99\"}",
 		"ss_jobs_queue_depth_bucket{le=\"+Inf\"}",
-		"ss_delegate_backlog{delegate=\"1\"}",
 		"ss_runtime_panics_total 1",
 		"ss_runtime_epochs_total",
 	} {
@@ -341,5 +341,90 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if code, _ := get(t, h, "/healthz", "probe", nil); code != http.StatusServiceUnavailable {
 		t.Error("healthz not 503 after drain")
+	}
+}
+
+// TestSlowKeyHeadOfLine pins that a blocked request delays only its own
+// key. While one key's handler is parked on a channel, 200 requests over
+// 50 other keys are all answered in per-key order, epochs keep rotating,
+// and a request queued behind the blocked one expires with 504 without its
+// backend ever running. Then the key unblocks and the server drains.
+func TestSlowKeyHeadOfLine(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	var followerRan atomic.Bool
+	s := newTestServer(t, Config{
+		EpochInterval:  5 * time.Millisecond,
+		RequestTimeout: 40 * time.Millisecond,
+		Handler: func(sess *Session, r *http.Request) (int, string) {
+			switch r.Header.Get("X-Role") {
+			case "blocker":
+				close(entered)
+				<-release
+			case "follower":
+				followerRan.Store(true)
+			}
+			return http.StatusOK, strconv.FormatUint(sess.Seq, 10)
+		},
+	})
+	h := s.Handler()
+
+	blocked := make(chan int, 1)
+	go func() {
+		code, _ := get(t, h, "/bump", "stuck", map[string]string{"X-Role": "blocker"})
+		blocked <- code
+	}()
+	<-entered
+	epoch0 := s.Stats().Epochs
+
+	// 10 clients with 5 fresh keys each, 20 requests per client round
+	// robin over its keys: every key's sequence must run 1, 2, 3, 4.
+	var wg sync.WaitGroup
+	for c := 0; c < 10; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				key := fmt.Sprintf("free-%d-%d", c, i%5)
+				code, body := get(t, h, "/bump", key, nil)
+				if want := strconv.Itoa(i/5 + 1); code != http.StatusOK || body != want {
+					t.Errorf("key %s request %d: %d %q, want 200 %q", key, i, code, body, want)
+					return
+				}
+			}
+		}(c)
+	}
+	free := make(chan struct{})
+	go func() { wg.Wait(); close(free) }()
+	select {
+	case <-free:
+	case <-time.After(10 * time.Second):
+		unblock()
+		<-free
+		t.Fatal("requests for other keys stalled behind the blocked key")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Stats().Epochs <= epoch0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no epoch rotation completed while a handler was blocked")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if code, body := get(t, h, "/bump", "stuck", map[string]string{"X-Role": "follower"}); code != http.StatusGatewayTimeout {
+		t.Errorf("follower of the blocked key: %d %q, want 504", code, body)
+	}
+
+	unblock()
+	if code := <-blocked; code != http.StatusOK {
+		t.Errorf("blocked request: status %d, want a late 200", code)
+	}
+	if err := s.Drain(); err != nil {
+		t.Errorf("drain: %v", err)
+	}
+	if followerRan.Load() {
+		t.Error("the expired follower's backend ran")
 	}
 }

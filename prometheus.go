@@ -304,8 +304,8 @@ func (rt *Runtime) Err() error { return joinFaults(rt.core.Faults()) }
 
 // SetErr reports the contained panics recorded against one serialization
 // set, aggregated like Err. Nil when the set never faulted. O(faults on
-// that set), and safe from any goroutine — the serving tier calls it from
-// handler goroutines to attach fault detail to 500 responses.
+// that set), and safe from any goroutine, so a server can call it from its
+// handler goroutines to attach fault detail to error responses.
 func (rt *Runtime) SetErr(set uint64) error { return joinFaults(rt.core.SetFaults(set)) }
 
 // Poisoned reports whether the set is poisoned in the current isolation
@@ -316,16 +316,16 @@ func (rt *Runtime) Poisoned(set uint64) bool { return rt.core.Poisoned(set) }
 
 // PoisonedCount reports how many sets are poisoned in the current
 // isolation epoch — the live degradation gauge (Stats.PoisonedSets is the
-// cumulative ever-poisoned counter). The serving tier reports it on
-// /healthz so orchestrators can tell "draining" from "degraded". Lock-free
+// cumulative ever-poisoned counter), which a server can report on a health
+// endpoint so orchestrators can tell "draining" from "degraded". Lock-free
 // and safe from any goroutine.
 func (rt *Runtime) PoisonedCount() int { return rt.core.PoisonedCount() }
 
 // QueueDepths appends each delegate context's current backlog (operations
 // routed to it that have not finished executing) to dst and returns the
 // extended slice, one entry per delegate. Safe from any goroutine and
-// allocation-free when dst has capacity — the serving tier samples it on
-// every metrics scrape to feed its queue-depth histograms.
+// allocation-free when dst has capacity, so a metrics scrape can sample it
+// every time.
 func (rt *Runtime) QueueDepths(dst []uint64) []uint64 { return rt.core.QueueDepths(dst) }
 
 // SchedDump renders the engine's scheduler ledgers — per-delegate queue
