@@ -27,6 +27,9 @@ func BenchmarkDelegateOverhead(b *testing.B) {
 		b.StopTimer()
 		rt.EndIsolation()
 	})
+	// writable-nobatch is kept for the BENCH_PR1.json gate; the batch
+	// option it sets is deprecated and has no effect, so it measures the
+	// same path as writable.
 	b.Run("writable-nobatch", func(b *testing.B) {
 		b.ReportAllocs()
 		rt := prometheus.Init(prometheus.WithDelegates(4), prometheus.WithDelegateBatch(1))
@@ -42,8 +45,8 @@ func BenchmarkDelegateOverhead(b *testing.B) {
 	})
 	b.Run("writable-spread-4", func(b *testing.B) {
 		// Round-robins four wrappers, so consecutive delegations hit
-		// different delegates and the batch buffer sees constant target
-		// switches — the worst case for batching.
+		// different delegates' lanes — no two in a row share a ring or a
+		// consumer.
 		b.ReportAllocs()
 		rt := prometheus.Init(prometheus.WithDelegates(4))
 		defer rt.Terminate()

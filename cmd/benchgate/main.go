@@ -23,7 +23,15 @@
 // Repeated benchmark lines for one variant (go test -count=N) are reduced
 // to their minimum, the standard noise suppression for throughput numbers.
 //
-//	go test -run=NONE -bench 'BenchmarkDelegateOverhead|BenchmarkRecursiveOverhead' -benchmem -count=3 . |
+// A gate is valid only on the topology its baseline came from: normalizing
+// cancels clock speed, not the cross-core handoff cost that dominates on
+// more than one core. Every baseline file records the GOMAXPROCS it was
+// measured at (the "gomaxprocs" field), and the gate refuses — exits
+// nonzero without comparing — when a gated result row was run at a
+// different GOMAXPROCS (the -N suffix go test appends to benchmark names,
+// absent at GOMAXPROCS=1). Pin the run with -cpu:
+//
+//	go test -run=NONE -bench 'BenchmarkDelegateOverhead|BenchmarkRecursiveOverhead' -benchmem -count=3 -cpu 1 . |
 //	  go run ./cmd/benchgate -baseline BENCH_PR1.json -baseline BENCH_PR3.json -normalize sequential-inline
 package main
 
@@ -42,7 +50,10 @@ import (
 // reads; unknown fields are ignored. A file may carry any subset of the
 // variant tables.
 type baselineFile struct {
-	PR               int                        `json:"pr"`
+	PR int `json:"pr"`
+	// GOMAXPROCS is the GOMAXPROCS the baseline was measured at; results
+	// run at any other value are refused.
+	GOMAXPROCS       int                        `json:"gomaxprocs"`
 	DelegateVariants map[string]baselineVariant `json:"delegate_overhead_variants_after"`
 	// RecursiveVariants gates the recursive hot path (BENCH_PR3.json).
 	RecursiveVariants map[string]baselineVariant `json:"recursive_overhead_variants_after"`
@@ -68,6 +79,7 @@ type gateTable struct {
 	bench    string // e.g. "BenchmarkDelegateOverhead"
 	source   string
 	pr       int
+	procs    int // GOMAXPROCS the baseline was measured at
 	variants map[string]baselineVariant
 }
 
@@ -82,25 +94,26 @@ type measured struct {
 //	BenchmarkDelegateOverhead/writable-8  20000000  91.26 ns/op  0 B/op  0 allocs/op
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
-// parseBench resolves a bench row's name against one table's variants.
-func parseBench(name, bench string, known map[string]baselineVariant) (variant string, ok bool) {
+// parseBench resolves a bench row's name against one table's variants and
+// reports the GOMAXPROCS the row ran at.
+func parseBench(name, bench string, known map[string]baselineVariant) (variant string, procs int, ok bool) {
 	prefix := bench + "/"
 	if !strings.HasPrefix(name, prefix) {
-		return "", false
+		return "", 0, false
 	}
 	v := strings.TrimPrefix(name, prefix)
-	// On GOMAXPROCS>1 hosts go test appends a -N tag; prefer an exact
-	// baseline match (variant names may themselves end in a number, e.g.
+	// On GOMAXPROCS>1 go test appends a -N tag; prefer an exact baseline
+	// match (variant names may themselves end in a number, e.g.
 	// writable-spread-4) and only then try stripping the tag.
 	if _, exact := known[v]; exact {
-		return v, true
+		return v, 1, true
 	}
 	if i := strings.LastIndex(v, "-"); i > 0 {
-		if _, err := strconv.Atoi(v[i+1:]); err == nil {
-			v = v[:i]
+		if n, err := strconv.Atoi(v[i+1:]); err == nil {
+			return v[:i], n, true
 		}
 	}
-	return v, true
+	return v, 1, true
 }
 
 func main() {
@@ -126,21 +139,24 @@ func main() {
 		if err := json.Unmarshal(raw, &base); err != nil {
 			fatalf("parse baseline %s: %v", path, err)
 		}
+		if base.GOMAXPROCS <= 0 {
+			fatalf("baseline %s records no gomaxprocs; a gate without its topology cannot be compared", path)
+		}
 		if len(base.DelegateVariants) > 0 {
 			tables = append(tables, &gateTable{
-				bench: "BenchmarkDelegateOverhead", source: path, pr: base.PR,
+				bench: "BenchmarkDelegateOverhead", source: path, pr: base.PR, procs: base.GOMAXPROCS,
 				variants: base.DelegateVariants,
 			})
 		}
 		if len(base.RecursiveVariants) > 0 {
 			tables = append(tables, &gateTable{
-				bench: "BenchmarkRecursiveOverhead", source: path, pr: base.PR,
+				bench: "BenchmarkRecursiveOverhead", source: path, pr: base.PR, procs: base.GOMAXPROCS,
 				variants: base.RecursiveVariants,
 			})
 		}
 		if len(base.SkewedVariants) > 0 {
 			tables = append(tables, &gateTable{
-				bench: "BenchmarkRecursiveSkewed", source: path, pr: base.PR,
+				bench: "BenchmarkRecursiveSkewed", source: path, pr: base.PR, procs: base.GOMAXPROCS,
 				variants: base.SkewedVariants,
 			})
 		}
@@ -162,9 +178,13 @@ func main() {
 			continue
 		}
 		for _, tbl := range tables {
-			variant, ok := parseBench(m[1], tbl.bench, tbl.variants)
+			variant, procs, ok := parseBench(m[1], tbl.bench, tbl.variants)
 			if !ok {
 				continue
+			}
+			if _, gated := tbl.variants[variant]; gated && procs != tbl.procs {
+				fatalf("%s/%s ran at GOMAXPROCS=%d but %s was measured at GOMAXPROCS=%d; refusing to compare across topologies (run with -cpu %d)",
+					tbl.bench, variant, procs, tbl.source, tbl.procs, tbl.procs)
 			}
 			cur, ok := parseMetrics(m[2])
 			if !ok {

@@ -66,10 +66,10 @@
 // allocations and O(1) work:
 //
 //   - Invocation records travel by value through bounded SPSC rings of
-//     sequence-stamped slots (internal/spsc, after FastForward, Giacomoni
-//     et al. PPoPP 2008): no per-operation allocation, no GC pressure, and
-//     producer and consumer never touch each other's cursor in steady
-//     state.
+//     sequence-stamped slots (internal/spsc lanes, after FastForward,
+//     Giacomoni et al. PPoPP 2008): no per-operation allocation, no GC
+//     pressure, and producer and consumer never touch each other's cursor
+//     in steady state.
 //
 //   - Wrappers dispatch through a static per-type trampoline plus two
 //     payload words (the wrapper pointer and the callback's funcval
@@ -78,29 +78,22 @@
 //     closure allocation. Alloc-regression tests (alloc_test.go) pin this
 //     at exactly 0 allocs/op.
 //
-//   - Scheduling queries are O(1): each ring publishes padded monotonic
-//     pushed/popped counters, so the LeastLoaded policy's queue-depth scan
-//     costs one load per delegate rather than a walk over every slot.
+//   - Scheduling queries read a ledger of single-writer counters: each
+//     producer counts what it pushed into each lane and each delegate
+//     publishes what it executed per lane, so a delegate's backlog costs
+//     one load pair per lane rather than a walk over ring slots, and the
+//     delegation path touches no shared counter.
 //
-//   - The program context batches runs of consecutive delegations bound
-//     for the same busy delegate (WithDelegateBatch, default 8) and
-//     delivers them with a single consumer wake-up. Operations are never
-//     buffered while the target delegate has no backlog, and the buffer is
-//     flushed when the delegate drains, on every target switch, when the
-//     batch fills, and at every synchronization point — a buffered
-//     operation waits at most until the program context's next delegation
-//     or runtime call.
-//
-//   - Delegates consume in batches too: each wake pops a run of ring slots
-//     (up to 64) and executes them back to back, publishing consumer
-//     progress and the producer wake-up once per run rather than once per
-//     operation. A backlogged delegate therefore drains at memcpy-plus-call
-//     speed, which also keeps the producer out of its queue-full slow path.
+//   - Delegates consume in batches: each claimed lane is popped in runs of
+//     up to 64 ring slots executed back to back, publishing progress and
+//     the producer wake-up once per run rather than once per operation. A
+//     backlogged delegate therefore drains at memcpy-plus-call speed, which
+//     also keeps the producer out of its ring-full slow path.
 //
 // # Load balancing
 //
 // The LeastLoaded policy assigns a serialization set to the delegate with
-// the shortest queue at the set's first delegation of the epoch, and the
+// the smallest backlog at the set's first delegation of the epoch, and the
 // set then stays sticky to that delegate — per-set program order depends on
 // it. When dependence chains have very uneven lengths, that one-shot choice
 // can strand most of an epoch's work on one delegate while the others idle.
@@ -109,7 +102,9 @@
 // quiescent (every operation previously delegated to it has finished
 // executing — a safe handoff boundary), the next delegation hands the whole
 // set to the least-occupied delegate, provided that delegate is idle or at
-// most a quarter as loaded as the victim.
+// most a quarter as loaded as the victim. Under stealing a set's first
+// touch takes its static-table home instead (or the slot hot-set seeding
+// pre-placed it on), and the rebalancer moves it from there.
 //
 // Whole sets — never individual invocations — are the steal unit. Moving a
 // single queued invocation would let two contexts interleave one set's
@@ -119,49 +114,59 @@
 // before anything after it is enqueued on the new one. Determinism is
 // unchanged — only placement (which delegate runs a set), never order
 // (which operations run and in what sequence per set), responds to load.
-// The safety check is O(1), riding the same published counters as the
-// scheduler: each delegate exposes an executed count, the program context
-// tracks per-delegate sent counts, and a set is quiescent exactly when its
-// newest operation's position is at or below its owner's executed count.
+// The safety check rides the same lane ledger as the scheduler: the owner
+// table records the lane position of each set's newest operation, and a
+// set is quiescent exactly when that position is at or below its owner's
+// executed count for the lane. Without recursion the program context is
+// the only producer, so that is one comparison.
+//
+// # One engine: lanes
+//
+// Every runtime runs on one engine. Each delegate owns one inbound lane
+// per producer context: lane 0 is the program context's — the paper's
+// single SPSC queue per delegate — and the others exist for recursive
+// delegation, below. A lane is a bounded lap-stamped value ring backed by
+// an unbounded spill list that engages only on overflow. Only the program
+// lanes are built up front; a delegate's lane into a peer is built on its
+// first push, so a runtime that never delegates recursively pays for one
+// ring per delegate. Each delegate keeps a pending-lane bitmask instead of
+// polling its lanes: a producer publishes work with one conditional atomic
+// OR plus a wake check, and an idle delegate inspects O(1) words.
+//
+// Quiescence bookkeeping is contention-free: each producer counts what it
+// pushed into each lane in a padded single-writer counter and each
+// delegate publishes what it executed per lane; only barriers aggregate
+// the two sides, repeating sync rounds until the sums agree across a quiet
+// round (executing an operation may enqueue more work, so one drain round
+// is never proof of completion). Writable.Call reclaims per delegate: when
+// the program context is the only producer, one sync on the owner's
+// program lane is ordered after everything delegated to it.
 //
 // # Recursive delegation
 //
-// Recursive() enables the extension the paper names as future work (§4):
+// Recursive() permits the extension the paper names as future work (§4):
 // delegated operations may delegate further operations via Ctx.Delegate,
 // which is how divide-and-conquer programs (quicksort, FPM, Barnes-Hut)
-// are expressed without fork/join scaffolding. The recursive engine is
-// built to the same performance standard as the flat path:
+// are expressed without fork/join scaffolding. It opens the delegates'
+// own lanes as producers; plain delegation costs the same with or without
+// it.
 //
-//   - Every delegate owns one inbound lane per producer context (program
-//     plus every delegate). A lane is a bounded lap-stamped value ring —
-//     the same slot machinery as the flat path's SPSC queue — backed by an
-//     unbounded spill list that engages only on overflow. Steady state, a
-//     recursive delegation writes its invocation record by value into ring
-//     memory: zero allocations, no lane nodes, no closure. The spill tier
-//     is what makes the bounded ring safe: a delegate may delegate to a
-//     set it itself owns (or around a delegation cycle), so a delegate
-//     producer never blocks — it spills — while the program context, which
-//     no delegate can be waiting on, blocks on a full ring and gets
-//     bounded-queue backpressure instead.
+//   - A nested delegation writes its invocation record by value into the
+//     producing delegate's lane on the set's owner: zero allocations, no
+//     lane nodes, no closure. The spill tier is what makes the bounded
+//     ring safe: a delegate may delegate to a set it itself owns (or around
+//     a delegation cycle), so a delegate producer never blocks — it spills
+//     — while the program context, which no delegate can be waiting on,
+//     blocks on a full ring and gets bounded-queue backpressure instead.
 //
 //   - The trampoline fast path extends end to end: Ctx.Delegate and the
 //     root wrappers (Writable, ReadOnly, Reducible) all route through
-//     static trampolines into the lanes (core.DelegateFromCall), so
-//     recursive mode no longer pays a per-call closure.
+//     static trampolines into the lanes (core.DelegateFromCall), so a
+//     nested delegation pays no per-call closure.
 //
-//   - Each delegate keeps a pending-lane bitmask instead of polling all
-//     lanes round-robin: a producer publishes work with one conditional
-//     atomic OR plus a wake check, and an idle delegate inspects O(1)
-//     words. Claimed lanes drain in batched runs (the consumer mirror of
-//     the flat path's PopBatch drain), publishing the executed counter
-//     once per run.
-//
-//   - Quiescence bookkeeping is contention-free: each producer context
-//     counts what it enqueued in a padded single-writer counter and each
-//     delegate counts what it executed; only the EndIsolation barrier
-//     aggregates the two sides, repeating sync rounds until the sums agree
-//     across a quiet round (executing an operation may enqueue more work,
-//     so one drain round is never proof of completion).
+//   - Reclaiming ownership must wait for work other contexts produced, so
+//     under recursion Writable.Call and SyncContext run the full
+//     quiescence barrier.
 //
 // Per-set program order is preserved per producer — FIFO through ring and
 // spill alike — and determinism requires each set to have one producer
@@ -175,11 +180,10 @@
 // # Recursive whole-set stealing: the multi-producer quiescent handoff
 //
 // Combining Recursive with WithPolicy(LeastLoaded)+WithStealing enables
-// rebalancing in recursive mode, where the flat protocol's safety
-// argument no longer suffices: a flat set has one producer (the program
-// context), so "newest position <= owner's executed count" is one
-// comparison — but a recursive set's operations arrive from many producer
-// contexts, each through its own SPSC lane, and an executed counter that
+// rebalancing under recursion, where one comparison no longer suffices: a
+// set delegated only by the program context has one producer, so "newest
+// position <= owner's executed count" is one comparison — but a recursive
+// set's operations arrive from many producer contexts, each through its own SPSC lane, and an executed counter that
 // ignored one producer's lane could declare a set quiescent while that
 // lane still carries its operations. Quiescence must therefore cover
 // EVERY producer's sent counter: each producer counts the messages it
@@ -222,11 +226,10 @@
 // machinery: one plain producing-set stamp per executed operation, one
 // atomic store per nested delegation (against a one-slot entry cache, so
 // runs of one set's operations resolve the entry once), zero allocations
-// — the ledger is not built at all unless stealing is enabled, so the
-// static recursive hot path is untouched. Cost budget: the stealing-off
-// paths stay exactly at PR 3's 0 allocs/op gates, and the stealing-on
-// delegation adds two atomic stores and a three-field cache check
-// (alloc_test.go and cmd/benchgate hold both).
+// — the outbound ledger is written only under stealing, so the static
+// recursive hot path is untouched. Cost budget: every path stays at 0
+// allocs/op, and the stealing-on delegation adds two atomic stores and a
+// three-field cache check (alloc_test.go and cmd/benchgate hold both).
 //
 // Two placement rules keep the engine from manufacturing hazards the
 // program didn't write: a set is never handed to its own producer's
@@ -271,22 +274,21 @@
 // Stats reports Steals, Handoffs, ForcedEvacs, OutboundVetoes,
 // OutboundTracked, ThresholdAdjusts, and HotSetsPlaced for all of it.
 //
-// BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead, BenchmarkSPSC,
-// BenchmarkLane, BenchmarkCoreDelegateSkewed and BenchmarkRecursiveSkewed
-// measure these paths; Runtime.Stats reports delegation, batching,
-// stealing, handoff, drain, recursive, spill, and per-phase time
-// counters.
+// BenchmarkDelegateOverhead, BenchmarkRecursiveOverhead, BenchmarkLane,
+// BenchmarkCoreDelegateSkewed and BenchmarkRecursiveSkewed measure these
+// paths; Runtime.Stats reports delegation, stealing, handoff, drain, lane,
+// spill, and per-phase time counters.
 //
 // # Fault containment
 //
 // A panic in a delegated operation does not kill the process and does not
-// wedge a barrier. Both engines run invocations inside recover()-protected
+// wedge a barrier. Delegates run invocations inside recover()-protected
 // execution spans; a recovered panic is recorded (value plus the stack of
 // the original failure site) and the faulted operation is counted as
-// executed, so every ledger the scheduling protocols rest on — flat
-// occupancy, recursive per-lane coverage, barrier quiescence sums, the
-// whole-set handoff proofs of the two stealing sections above — keeps
-// advancing and the delegate goroutine stays alive.
+// executed, so the lane ledger the scheduling protocols rest on —
+// backlogs, per-lane coverage, barrier quiescence sums, the whole-set
+// handoff proofs of the stealing sections above — keeps advancing and the
+// delegate goroutine stays alive.
 //
 // Determinism is preserved by set poisoning. The faulting operation's
 // serialization set is poisoned for the remainder of the isolation epoch:
@@ -319,11 +321,11 @@
 // than through ad-hoc waits on delegated effects. The barrier watchdog
 // (Config.Watchdog; on by default under Checked) turns any such hang —
 // or an engine liveness bug — into a panic with a dump of per-delegate
-// queue depths and ledger positions after a configurable no-progress
+// backlogs and lane ledger positions after a configurable no-progress
 // bound. The chaos-injection harness (internal/chaos) drives all of this
 // under test: deterministic and seeded-probabilistic panics injected
-// across every engine mode, asserting survival, byte-identical poisoning
-// points, and untouched sibling sets.
+// across every placement and recursion mode, asserting survival,
+// byte-identical poisoning points, and untouched sibling sets.
 //
 // The fault-free cost is one nil pointer load on the delegation path and
 // one per drain run — all poison state is allocated lazily on the first
@@ -435,20 +437,20 @@
 // follows directly from the epoch discipline: an isolation-epoch boundary
 // is the only point in this model where resizing is safe, because it is
 // the only point where anything global is known. Between boundaries,
-// operations for a set may be in flight in a delegate's queue, a steal
-// handshake may be mid-transfer, and the recursive engine's per-producer
-// lanes may hold unacknowledged sends — moving a set or retiring a
+// operations for a set may be in flight in a delegate's lanes, a steal
+// handshake may be mid-transfer, and nested delegations may hold
+// unacknowledged sends — moving a set or retiring a
 // delegate in that state would either reorder a set's operations
 // (breaking the one invariant the model promises) or strand them. At the
-// boundary, the barrier has proven every queue drained and every
-// delegation ledger balanced, so set-to-delegate placement is pure data:
+// boundary, the barrier has proven every lane drained and the lane
+// ledger balanced, so set-to-delegate placement is pure data:
 // it can be rewritten wholesale, exactly as the epoch machinery already
 // rewrites it for adaptive thresholds and hot-set seeding.
 //
 // Mechanically, [Runtime.Resize] and [Runtime.Reconfigure] only record a
 // desired [RuntimeConfig]; the next BeginIsolation applies it. Capacity
-// and occupancy are split: every delegate structure (queues, lane
-// matrices, counters) is pre-allocated for WithMaxDelegates at New, and
+// and occupancy are split: every delegate structure (program lanes,
+// ledgers, counters) is pre-allocated for WithMaxDelegates at New, and
 // resizing only moves the active prefix — so context numbering, reducible
 // views, and trace buffers stay valid across any resize, and the hot path
 // pays nothing (the steal threshold and active count are single atomic
@@ -459,10 +461,10 @@
 // on a retired delegate would silently stop executing — its operations
 // would queue forever on a goroutine that exited. The evacuation argument
 // is the same quiescence argument as the steal handshake's, but simpler:
-// at the boundary the closing delegate's queue is provably empty and its
-// lanes balanced, so reassignment is a table write with no in-flight
+// at the boundary the closing delegate's lanes are provably empty and
+// balanced, so reassignment is a table write with no in-flight
 // operations to race. Checked mode asserts exactly this — a parked
-// delegate with a non-empty queue or an unbalanced lane ledger panics
+// delegate with an unbalanced lane ledger panics
 // ("traffic survived a retired delegate"). Parked delegates keep their
 // structures (counters frozen, so all-capacity ledger sums still
 // balance) and are respawned on the next scale-up, seeding their

@@ -76,16 +76,16 @@ func TestContextForDoesNotAssign(t *testing.T) {
 	rt := newTestRuntime(t, Config{Delegates: 4, Policy: LeastLoaded})
 	rt.BeginIsolation()
 	predicted := rt.ContextFor(11)
-	if len(rt.setOwner) != 0 {
-		t.Fatal("ContextFor assigned an owner")
+	if got := recOwner(rt, 11); got != 0 {
+		t.Fatalf("ContextFor assigned an owner (%d)", got)
 	}
 	// The first delegation with unchanged queue state lands on the
 	// predicted context and records the sticky owner.
 	if got := rt.Delegate(11, func(int) {}); got != predicted {
 		t.Fatalf("Delegate placed set on %d, ContextFor predicted %d", got, predicted)
 	}
-	if e, ok := rt.setOwner[11]; !ok || e.ctx != predicted {
-		t.Fatalf("owner = %v, %v, want %d", e, ok, predicted)
+	if got := recOwner(rt, 11); got != predicted {
+		t.Fatalf("owner = %d, want %d", got, predicted)
 	}
 	rt.EndIsolation()
 }
@@ -105,95 +105,46 @@ func startGated(rt *Runtime, set uint64) (release func()) {
 	return func() { close(gate) }
 }
 
-func TestBatchingEngagesOnBusyDelegate(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 4})
-	rt.BeginIsolation()
-	release := startGated(rt, 0)
-	// The delegate is blocked with an empty queue. The next operation is
-	// delivered eagerly (idle queue); the ones after that buffer and flush
-	// in batches of 4.
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		rt.Delegate(0, func(int) { order = append(order, i) })
-	}
-	release()
-	rt.EndIsolation()
-	if len(order) != 10 {
-		t.Fatalf("executed %d ops, want 10", len(order))
-	}
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("batching broke per-set order at %d: got %d", i, v)
-		}
-	}
-	st := rt.Stats()
-	// 1 eager direct push + 9 buffered: two full batches of 4 at the cap
-	// plus 1 flushed by the EndIsolation barrier.
-	if st.BatchedOps != 9 || st.BatchFlushes != 3 {
-		t.Fatalf("BatchedOps = %d, BatchFlushes = %d, want 9 and 3", st.BatchedOps, st.BatchFlushes)
-	}
-}
-
-func TestBatchFlushOnTargetSwitch(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 2, VirtualDelegates: 2, DelegateBatch: 64})
-	rt.BeginIsolation()
-	release := startGated(rt, 0)
-	var ran atomic.Int64
-	rt.Delegate(0, func(int) { ran.Add(1) }) // eager: queue empty
-	rt.Delegate(0, func(int) { ran.Add(1) }) // buffered behind the eager op
-	rt.Delegate(0, func(int) { ran.Add(1) }) // buffered
-	before := rt.Stats().BatchFlushes
-	// Switching to the other delegate must flush the buffered run first.
-	rt.Delegate(1, func(int) { ran.Add(1) })
-	if got := rt.Stats().BatchFlushes; got != before+1 {
-		t.Fatalf("BatchFlushes = %d, want %d (target switch must flush)", got, before+1)
-	}
-	release()
-	rt.EndIsolation()
-	if got := ran.Load(); got != 4 {
-		t.Fatalf("ran = %d, want 4", got)
-	}
-}
-
+// TestBatchFlushOnSync: operations queued behind a busy delegate have all
+// executed when SyncContext returns.
 func TestBatchFlushOnSync(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 64})
+	rt := newTestRuntime(t, Config{Delegates: 1})
 	rt.BeginIsolation()
 	release := startGated(rt, 0)
 	var ran atomic.Int64
 	ctx := rt.Delegate(0, func(int) { ran.Add(1) })
-	rt.Delegate(0, func(int) { ran.Add(1) }) // buffered
-	rt.Delegate(0, func(int) { ran.Add(1) }) // buffered
+	rt.Delegate(0, func(int) { ran.Add(1) }) // queued behind the gate
+	rt.Delegate(0, func(int) { ran.Add(1) })
 	release()
-	rt.SyncContext(ctx) // must flush before syncing or it would hang
+	rt.SyncContext(ctx)
 	if got := ran.Load(); got != 3 {
-		t.Fatalf("after SyncContext ran = %d, want 3 (buffered ops lost)", got)
+		t.Fatalf("after SyncContext ran = %d, want 3 (queued ops lost)", got)
 	}
 	rt.EndIsolation()
 }
 
 func TestBatchFlushWhenDelegateDrains(t *testing.T) {
-	// Once the delegate catches up, the next delegation must hand over the
-	// buffered tail instead of letting it ride until a sync point.
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 64})
+	// Operations queued behind a busy delegate run as soon as it catches
+	// up, without waiting for a sync point.
+	rt := newTestRuntime(t, Config{Delegates: 1})
 	rt.BeginIsolation()
 	release := startGated(rt, 0)
 	var ran atomic.Int64
-	rt.Delegate(0, func(int) { ran.Add(1) }) // eager: queue empty
-	rt.Delegate(0, func(int) { ran.Add(1) }) // buffered
-	rt.Delegate(0, func(int) { ran.Add(1) }) // buffered
+	rt.Delegate(0, func(int) { ran.Add(1) })
+	rt.Delegate(0, func(int) { ran.Add(1) })
+	rt.Delegate(0, func(int) { ran.Add(1) })
 	release()
 	deadline := time.Now().Add(5 * time.Second)
-	for ran.Load() < 1 { // delegate drains the gated + eager ops, then parks
+	for ran.Load() < 3 { // no further runtime call: the backlog drains on its own
 		if time.Now().After(deadline) {
-			t.Fatal("eager op never ran")
+			t.Fatalf("queued ops stalled after the gate opened: ran = %d", ran.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	rt.Delegate(0, func(int) { ran.Add(1) }) // drained target: flushes all four
+	rt.Delegate(0, func(int) { ran.Add(1) }) // to a drained, possibly parked delegate
 	for ran.Load() < 4 {
 		if time.Now().After(deadline) {
-			t.Fatalf("buffered ops stalled after delegate drained: ran = %d", ran.Load())
+			t.Fatalf("op to a drained delegate stalled: ran = %d", ran.Load())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -202,9 +153,8 @@ func TestBatchFlushWhenDelegateDrains(t *testing.T) {
 
 func TestIdleDelegateGetsOpWithoutFlush(t *testing.T) {
 	// Liveness: an operation delegated to an idle delegate must execute
-	// without any subsequent runtime call (no sync, no epoch end) — the
-	// delegation buffer is bypassed when the target queue is empty.
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 64})
+	// without any subsequent runtime call (no sync, no epoch end).
+	rt := newTestRuntime(t, Config{Delegates: 1})
 	rt.BeginIsolation()
 	var ran atomic.Bool
 	rt.Delegate(0, func(int) { ran.Store(true) })
@@ -218,23 +168,27 @@ func TestIdleDelegateGetsOpWithoutFlush(t *testing.T) {
 	rt.EndIsolation()
 }
 
+// TestBatchingDisabled: the deprecated DelegateBatch setting has no
+// effect, and the deprecated batch counters stay zero whatever it says.
 func TestBatchingDisabled(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 1})
-	rt.BeginIsolation()
-	release := startGated(rt, 0)
-	for i := 0; i < 50; i++ {
-		rt.Delegate(0, func(int) {})
-	}
-	release()
-	rt.EndIsolation()
-	if st := rt.Stats(); st.BatchFlushes != 0 || st.BatchedOps != 0 {
-		t.Fatalf("batching stats nonzero with DelegateBatch=1: %+v", st)
+	for _, batch := range []int{0, 1, 64} {
+		rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: batch})
+		rt.BeginIsolation()
+		release := startGated(rt, 0)
+		for i := 0; i < 50; i++ {
+			rt.Delegate(0, func(int) {})
+		}
+		release()
+		rt.EndIsolation()
+		if st := rt.Stats(); st.BatchFlushes != 0 || st.BatchedOps != 0 {
+			t.Fatalf("DelegateBatch=%d: batch stats nonzero: %+v", batch, st)
+		}
 	}
 }
 
 // BenchmarkCoreDelegate compares the closure path against the trampoline
-// path at the engine level, and batching against no batching, all on one
-// pinned set so the delegation stream stresses a single queue.
+// path at the engine level, on one pinned set so the delegation stream
+// stresses a single lane.
 func BenchmarkCoreDelegate(b *testing.B) {
 	var sink atomic.Int64
 	inc := int64(1)
@@ -258,12 +212,6 @@ func BenchmarkCoreDelegate(b *testing.B) {
 	b.Run("trampoline", func(b *testing.B) {
 		b.ReportAllocs()
 		run(b, Config{Delegates: 4}, func(rt *Runtime) {
-			rt.DelegateCall(1, countTramp, unsafe.Pointer(&sink), unsafe.Pointer(&inc))
-		})
-	})
-	b.Run("trampoline-nobatch", func(b *testing.B) {
-		b.ReportAllocs()
-		run(b, Config{Delegates: 4, DelegateBatch: 1}, func(rt *Runtime) {
 			rt.DelegateCall(1, countTramp, unsafe.Pointer(&sink), unsafe.Pointer(&inc))
 		})
 	})

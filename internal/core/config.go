@@ -21,12 +21,6 @@ const DefaultWatchdog = 30 * time.Second
 // steady-state memory.
 const DefaultFaultRecordBound = 1024
 
-// DefaultDelegateBatch is the default size of the program context's
-// delegation buffer. Small on purpose: the buffer amortizes the wake-signal
-// atomic across a burst, and a handful of operations already captures most
-// of that win while bounding how long a buffered operation can wait.
-const DefaultDelegateBatch = 8
-
 // MinStealThreshold/MaxStealThreshold clamp the adaptive StealThreshold
 // default. When the option is unset, the victim backlog at which the
 // occupancy-aware rebalancer engages is derived from the queue capacity
@@ -54,18 +48,17 @@ const (
 	maxStealRatio     = 8
 )
 
-// drainBatchSize bounds the delegate-side drain buffer: after each blocking
-// pop, the delegate PopBatches up to this many further invocations and
-// executes them without re-arming the wake machinery. 64 invocation-sized
-// records is 4KB per delegate — enough to amortize the popped-counter and
+// drainBatchSize bounds the delegate-side drain buffer: the delegate
+// PopBatches up to this many invocations from a claimed lane and executes
+// them without re-arming the wake machinery. 64 invocation-sized records
+// is 4KB per delegate — enough to amortize the ledger publish and
 // producer-signal stores across deep backlogs without hoarding a large
 // resident buffer.
 const drainBatchSize = 64
 
-// spinBeforeParkRec bounds a recursive delegate's busy-wait over its
-// pending-lane bitmask before it parks on its wake channel. The re-check
-// is O(words), far cheaper than the old all-lanes poll, so the loop can
-// afford the same order of spin as the SPSC queues.
+// spinBeforeParkRec bounds a delegate's busy-wait over its pending-lane
+// bitmask before it parks on its wake channel. The re-check is O(words),
+// so the loop can afford the same order of spin as the SPSC lanes.
 const spinBeforeParkRec = 128
 
 // SchedPolicy selects how serialization sets are assigned to delegate
@@ -79,8 +72,10 @@ const (
 	StaticMod SchedPolicy = iota
 	// LeastLoaded is the dynamic-scheduling extension the paper names as
 	// future work: the first operation of a set in an epoch is assigned to
-	// the delegate with the shortest queue, and the set stays sticky to that
-	// delegate for the rest of the epoch (preserving per-set ordering).
+	// the delegate with the smallest backlog, and the set stays sticky to
+	// that delegate for the rest of the epoch (preserving per-set
+	// ordering). With Stealing, first touch uses the static table instead
+	// and sets migrate whole at quiescent points.
 	LeastLoaded
 )
 
@@ -113,9 +108,9 @@ type Config struct {
 	// reallocating — which is what keeps NumContexts immutable and the
 	// per-context arrays the wrappers sized at construction valid for the
 	// runtime's whole life. Defaults to Delegates (a fixed pool, no
-	// reconfiguration headroom). In recursive mode the lane matrix costs
-	// O(MaxDelegates^2) rings, so size the ceiling to the largest pool the
-	// process will actually use.
+	// reconfiguration headroom). Each delegate of capacity costs one
+	// program-lane ring up front; under recursion every delegate that
+	// delegates adds one ring per delegate it feeds, built on first use.
 	MaxDelegates int
 
 	// VirtualDelegates is the number of virtual delegates used by the
@@ -129,20 +124,17 @@ type Config struct {
 	// those sets execute inline in the program thread. Default 0.
 	ProgramShare int
 
-	// QueueCapacity is the per-delegate communication-queue capacity. In
-	// recursive mode it sizes each producer lane's bounded ring (overflow
-	// beyond it goes to the lane's unbounded spill list). Default
+	// QueueCapacity sizes each lane's bounded ring: the program context's
+	// queue to each delegate and, under recursion, each delegate-to-delegate
+	// lane (overflow from a delegate producer goes to the lane's unbounded
+	// spill list; the program context blocks instead). Default
 	// spsc.DefaultCapacity.
 	QueueCapacity int
 
-	// DelegateBatch bounds the program context's delegation buffer: runs of
-	// up to DelegateBatch consecutive operations bound for the same delegate
-	// are written to its ring as one batch with a single wake-up signal.
-	// The buffer is bypassed while the target delegate is idle (an idle
-	// delegate needs the operation now, not amortization) and flushed on
-	// every target switch, synchronization, barrier, and epoch transition.
-	// Default DefaultDelegateBatch; 1 disables batching. Ignored in
-	// Sequential and Recursive modes.
+	// DelegateBatch has no effect: every delegation is written straight
+	// into its delegate's lane.
+	//
+	// Deprecated: kept so existing configurations compile.
 	DelegateBatch int
 
 	// Sequential enables the paper's debug mode (§3.3): every delegation
@@ -167,9 +159,9 @@ type Config struct {
 	// occupancy, provided that delegate is idle or at most a quarter as
 	// loaded as the victim. Whole sets — never individual invocations — are
 	// the steal unit, so per-set program order is preserved by construction.
-	// Requires Policy == LeastLoaded — in recursive mode too, where the
-	// handoff additionally waits for every producer's lane position on the
-	// set to be covered by the owner's per-lane executed counters (see
+	// Requires Policy == LeastLoaded. Under recursion the handoff
+	// additionally waits for every producer's lane position on the set to
+	// be covered by the owner's per-lane executed counters (see
 	// internal/core/recsteal.go).
 	Stealing bool
 
@@ -210,9 +202,12 @@ type Config struct {
 	// hang); not exposed as a public Option.
 	LegacyOutboundVeto bool
 
-	// Recursive enables recursive delegation (the paper's named future-work
+	// Recursive permits recursive delegation (the paper's named future-work
 	// extension): delegated operations may delegate further operations
-	// through their execution context. Requires StaticMod and a zero
+	// through their execution context (DelegateFrom, Ctx.Delegate). It
+	// selects no engine — every runtime runs on the lane engine — and, in
+	// Checked mode without stealing, turns on the one-producer-per-set
+	// check. Requires StaticMod (or LeastLoaded with Stealing) and a zero
 	// ProgramShare; see internal/core/recursive.go for the semantics.
 	Recursive bool
 
@@ -277,9 +272,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueCapacity <= 0 {
 		c.QueueCapacity = spsc.DefaultCapacity
-	}
-	if c.DelegateBatch <= 0 {
-		c.DelegateBatch = DefaultDelegateBatch
 	}
 	if c.StealThreshold <= 0 {
 		// Adaptive default: scale with the queue depth the backlog is

@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// faultCfg is the flat-engine containment fixture: LeastLoaded so the
-// owner-table poison cache is exercised alongside the global table.
+// faultCfg is the non-recursive containment fixture: LeastLoaded so the
+// owner-table poison mirror is exercised alongside the global table.
 func faultCfg() Config {
 	return Config{Delegates: 2, Policy: LeastLoaded}
 }
 
-// TestFlatPanicContainment drives the whole flat containment story: a
+// TestFlatPanicContainment drives the whole non-recursive containment story: a
 // panicking operation does not kill the delegate, poisons its set, later
 // delegations to the set are dropped-but-counted, sibling sets are
 // untouched, and the fault surfaces through Faults/SetFaults/Poisoned and
@@ -275,10 +275,10 @@ func TestWatchdogFires(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-		dump string // engine-specific marker expected in the state dump
+		dump string // marker expected in the state dump
 	}{
-		{"flat", Config{Delegates: 2, Watchdog: 50 * time.Millisecond}, "flat engine"},
-		{"recursive", Config{Delegates: 2, Recursive: true, Watchdog: 50 * time.Millisecond}, "recursive engine"},
+		{"flat", Config{Delegates: 2, Watchdog: 50 * time.Millisecond}, "lane engine"},
+		{"recursive", Config{Delegates: 2, Recursive: true, Watchdog: 50 * time.Millisecond}, "lane engine"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := New(tc.cfg)

@@ -5,18 +5,22 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// Recursive-mode whole-set work stealing — the occupancy-aware scheduling
-// subsystem that lets the fastest execution mode rebalance. The paper's
-// scalability argument rests on sets being free to move between delegates
-// (per-set program order is the only invariant), but recursive mode has a
-// property the flat rebalancer cannot handle: delegations arrive from MANY
-// producer contexts, each through its own SPSC lane, so "the set is
-// quiescent on its owner" is no longer one position against one executed
-// counter.
+// Owner-table placement and whole-set work stealing — the occupancy-aware
+// scheduling subsystem behind the LeastLoaded policy. Without Stealing the
+// owner table only makes placement sticky: a set's first delegation of the
+// epoch goes to the least-occupied delegate and stays there. With Stealing,
+// sets may migrate. The paper's scalability argument rests on sets being
+// free to move between delegates (per-set program order is the only
+// invariant), but under recursion delegations arrive from MANY producer
+// contexts, each through its own SPSC lane, so "the set is quiescent on its
+// owner" is not one position against one executed counter. Without
+// recursion the program context is the only producer and every rule below
+// degenerates to that single comparison on lane 0.
 //
-// The multi-producer quiescent handoff generalizes the flat protocol:
+// The multi-producer quiescent handoff:
 //
 //   - Each producer context p keeps a padded single-writer counter of the
 //     messages it has pushed into each delegate's lane p (laneSent[d][p]),
@@ -114,12 +118,13 @@ import (
 //     ledger: waitRecOutboundCoverage) instead of retrying on a future
 //     delegation that a blocking program may never issue.
 //
-// Placement seeds come from the static assignment table (the same route
-// non-stealing recursive mode uses), optionally overridden for the
-// previous epoch's hottest sets by BeginIsolation's round-robin pre-
-// placement (reseed), and migrate from there.
+// Under stealing, placement seeds come from the static assignment table
+// (the same route StaticMod uses), optionally overridden for the previous
+// epoch's hottest sets by BeginIsolation's round-robin pre-placement
+// (reseed), and migrate from there. Without stealing a set's first touch
+// goes to the least-occupied delegate and never moves within the epoch.
 
-// recSetEntry is the recursive owner table's record of one serialization
+// recSetEntry is the owner table's record of one serialization
 // set. All fields are atomics: the set's single producer writes them, but
 // the program context (stats, reseeding) and — under a violated producer
 // discipline, which Checked mode turns into a panic — other contexts may
@@ -132,7 +137,7 @@ type recSetEntry struct {
 	// only at a quiescent point of the set, because the new producer's lane
 	// has no order against in-flight operations in the old producer's lane.
 	// Handovers happen legitimately when the set that ISSUES these
-	// delegations migrates — the outbound-drain condition in maybeStealRec
+	// delegations migrates — the outbound-drain condition in maybeMigrate
 	// guarantees the quiescence this check then observes.
 	producer atomic.Int32
 	// stamp counts whole-set handoffs this epoch (the per-set epoch
@@ -171,8 +176,7 @@ type recSetEntry struct {
 	poison atomic.Pointer[PanicFault]
 }
 
-// recOwnerTable is the concurrent set->entry map behind the recursive
-// owner table, specialized to uint64 keys so the lookup every stealing
+// recOwnerTable is the concurrent set->entry map behind the owner table, specialized to uint64 keys so the lookup every stealing
 // delegation performs allocates nothing (a sync.Map would box every set id
 // into an interface). Reads are lock-free: bucket heads are atomic
 // pointers to immutable chain nodes, so a lookup is one scrambled-hash
@@ -265,17 +269,13 @@ func (t *recOwnerTable) forEach(fn func(set uint64, e *recSetEntry)) {
 	}
 }
 
-// recStealState carries the stealing-only scheduling state of recursive
-// mode; nil unless Config.Stealing.
+// recStealState carries the owner-table scheduling state; nil unless the
+// policy is LeastLoaded.
 type recStealState struct {
 	// owners is the dynamic set->*recSetEntry table for the current epoch.
 	// An atomic pointer so BeginIsolation can swap in a freshly seeded
 	// table without racing late snapshot readers.
 	owners atomic.Pointer[recOwnerTable]
-	// laneSent[d][p] counts every message (method, sync, terminate)
-	// producer p has pushed into delegate d+1's lane p. Single writer
-	// (producer p), padded so concurrent producers never share a line.
-	laneSent [][]recCounter
 	// migrations[p] counts whole-set handoffs producer p performed;
 	// aggregated into Stats.Steals and Stats.Handoffs. forcedEvacs,
 	// outVetoes and outStamps are its siblings for the per-set outbound
@@ -289,19 +289,25 @@ type recStealState struct {
 	outStamps   []recCounter
 }
 
-func newRecStealState(delegates, producers int) *recStealState {
+func newRecStealState(producers int) *recStealState {
 	st := &recStealState{
-		laneSent:    make([][]recCounter, delegates),
 		migrations:  make([]recCounter, producers),
 		forcedEvacs: make([]recCounter, producers),
 		outVetoes:   make([]recCounter, producers),
 		outStamps:   make([]recCounter, producers),
 	}
-	for d := range st.laneSent {
-		st.laneSent[d] = make([]recCounter, producers)
-	}
 	st.owners.Store(newRecOwnerTable())
 	return st
+}
+
+// entryProducers is how many producer slots an owner-table entry carries:
+// every context that could ever produce under recursion, only the program
+// context otherwise.
+func (rt *Runtime) entryProducers() int {
+	if rt.cfg.Recursive {
+		return rt.cfg.MaxDelegates + 1
+	}
+	return 1
 }
 
 func newRecSetEntry(owner int, producers int) *recSetEntry {
@@ -326,8 +332,8 @@ func (e *recSetEntry) quiescentOn(owner *recDelegate) bool {
 	return true
 }
 
-// recOccupancy returns delegate ctx's occupancy under recursive stealing:
-// messages routed to any of its lanes that it has not finished executing.
+// recOccupancy returns delegate ctx's occupancy: messages routed to any of
+// its lanes that it has not finished executing.
 // O(producers) single-writer counter loads. Readers are arbitrary contexts
 // racing both counters, so per lane the executed side is loaded FIRST:
 // executed(t1) <= pushes(t1) <= sent(t1) <= sent(t2) (both counters are
@@ -337,20 +343,47 @@ func (e *recSetEntry) quiescentOn(owner *recDelegate) bool {
 // and corrupt every consumer of the number (threshold gate, thief scan,
 // imbalance EWMA).
 func (rt *Runtime) recOccupancy(ctx int) uint64 {
-	st := rt.rec.steal
+	sent := rt.rec.laneSent[ctx-1]
 	d := rt.rec.delegates[ctx-1]
 	var occ uint64
-	for p := range st.laneSent[ctx-1] {
+	for p := range sent {
 		exec := d.laneExec[p].Load()
-		occ += st.laneSent[ctx-1][p].n.Load() - exec
+		occ += sent[p].n.Load() - exec
 	}
 	return occ
 }
 
-// recRoute resolves the owner of a set on the delegation path under
-// recursive stealing, running the rebalancer for already-owned sets and
-// recording the new operation's lane position against the entry. It
-// returns the owning delegate context. Called only by the set's producer.
+// leastOccupied returns the active delegate with the smallest occupancy,
+// ties to the lowest id: the LeastLoaded first-touch placement.
+func (rt *Runtime) leastOccupied() int {
+	best, bestOcc := 1, ^uint64(0)
+	for ctx := 1; ctx <= int(rt.active.Load()); ctx++ {
+		if o := rt.recOccupancy(ctx); o < bestOcc {
+			best, bestOcc = ctx, o
+		}
+	}
+	return best
+}
+
+// seedOwner picks the owner of a set on its first touch of the epoch: the
+// least-occupied delegate without stealing, the static table's delegate
+// with it (a program-share slot falls back to a delegate by modulus — the
+// owner table never places a set on the program context).
+func (rt *Runtime) seedOwner(set uint64) int {
+	if !rt.cfg.Stealing {
+		return rt.leastOccupied()
+	}
+	if ctx := rt.vmap[set%uint64(len(rt.vmap))]; ctx != ProgramContext {
+		return ctx
+	}
+	return int(set%uint64(rt.active.Load())) + 1
+}
+
+// recRoute resolves the owner of a set on the delegation path under the
+// owner table, running the rebalancer for already-owned sets (Stealing
+// only), bumping the lane counter, and recording the new operation's lane
+// position against the entry. It returns the owning delegate context.
+// Called only by the set's producer.
 func (rt *Runtime) recRoute(producer int, set uint64) int {
 	st := rt.rec.steal
 	owners := st.owners.Load()
@@ -361,7 +394,7 @@ func (rt *Runtime) recRoute(producer int, set uint64) int {
 			// different lane, so the set must be quiescent — otherwise the
 			// old lane's in-flight operations have no order against the new
 			// lane's. The engine only causes handovers at points where this
-			// holds (maybeStealRec's outbound-drain condition); reaching a
+			// holds (maybeMigrate's outbound-drain condition); reaching a
 			// non-quiescent one means the program itself delegated the set
 			// from two contexts, the discipline Checked mode rejects.
 			if rt.cfg.Checked && prev >= 0 &&
@@ -395,7 +428,7 @@ func (rt *Runtime) recRoute(producer int, set uint64) int {
 				// empty entry can simply be re-homed next door. A set WITH
 				// history whose handover lands it on its own producer (e.g.
 				// the producing set migrated onto this set's owner) is
-				// evacuated by maybeStealRec below, which retries on every
+				// evacuated by maybeMigrate below, which retries on every
 				// delegation under the full safety conditions — including the
 				// outbound-drain check a bare re-home here could not honor.
 				// The active load sits behind the owner/ops short-circuits
@@ -405,16 +438,19 @@ func (rt *Runtime) recRoute(producer int, set uint64) int {
 				}
 			}
 		}
-		rt.maybeStealRec(producer, set, e)
+		if rt.cfg.Stealing {
+			rt.maybeMigrate(producer, set, e)
+		}
 	} else {
 		// First touch this epoch: seed from the static assignment table
-		// (hot sets were pre-placed by reseed before the epoch opened) and
-		// let the rebalancer move it from there. Claim the producer role by
+		// under stealing (hot sets were pre-placed by reseed before the
+		// epoch opened) and let the rebalancer move it from there, or on the
+		// least-occupied delegate without it. Claim the producer role by
 		// CAS from the unclaimed -1: the lookup above missing means no
 		// delegation to this set has been ORDERED before ours, so a lost CAS
 		// can only be another context touching the set concurrently — the
 		// same two-producer violation the handover path detects.
-		e = owners.insert(set, newRecSetEntry(rt.vmap[set%uint64(len(rt.vmap))], len(rt.rec.enq)))
+		e = owners.insert(set, newRecSetEntry(rt.seedOwner(set), rt.entryProducers()))
 		if !e.producer.CompareAndSwap(-1, int32(producer)) {
 			if rt.cfg.Checked {
 				panic(fmt.Sprintf(
@@ -429,7 +465,7 @@ func (rt *Runtime) recRoute(producer int, set uint64) int {
 			// migrated there by an earlier steal): honoring it would make
 			// every operation of the set a self-delegation the producer may
 			// block waiting on — and since this is the set's FIRST
-			// delegation, maybeStealRec never ran and no later delegation
+			// delegation, maybeMigrate never ran and no later delegation
 			// is guaranteed to arrive and evacuate it. Nothing has been
 			// delegated yet, so re-home the empty entry next door (the same
 			// rule the hot-seed handover branch and the thief scan apply).
@@ -439,7 +475,7 @@ func (rt *Runtime) recRoute(producer int, set uint64) int {
 		}
 	}
 	owner := int(e.owner.Load())
-	pos := &st.laneSent[owner-1][producer]
+	pos := &rt.rec.laneSent[owner-1][producer]
 	pos.add(1)
 	n := pos.n.Load()
 	e.lastPos[producer].Store(n)
@@ -497,9 +533,8 @@ func (rt *Runtime) noteOutbound(owners *recOwnerTable, producer, target int, pos
 func (rt *Runtime) recOutboundCovered(e *recSetEntry, v int) bool {
 	rec := rt.rec
 	if rt.cfg.LegacyOutboundVeto {
-		st := rec.steal
 		for dx, d := range rec.delegates {
-			if st.laneSent[dx][v].n.Load() > d.laneExec[v].Load() {
+			if rec.laneSent[dx][v].n.Load() > d.laneExec[v].Load() {
 				return false
 			}
 		}
@@ -513,11 +548,86 @@ func (rt *Runtime) recOutboundCovered(e *recSetEntry, v int) bool {
 	return true
 }
 
-// maybeStealRec is the recursive rebalancer, run by a set's producer on
-// every delegation to an already-owned set. The shape mirrors the flat
-// maybeSteal — loaded victim, quiescent set, idle-or-far-underloaded thief
-// — with the quiescence check widened to every producer lane and the
-// producer-handover safety checked against the set's own outbound ledger.
+// evacWaitBudget bounds the parked forced-evacuation wait: the total time a
+// producer stays subscribed to target delegates' coverage broadcasts before
+// falling back to retry-per-delegation. The bound exists because the wait
+// parks this delegate's drain loop: two delegates each waiting on coverage
+// only the other can publish would otherwise block forever — a hazard only a
+// program already blocking mid-operation in two places can construct, but
+// one the engine must not convert from unlikely to permanent. Generous
+// relative to a drain-run's latency (microseconds), tiny relative to the
+// serving tier's drain deadline.
+const evacWaitBudget = 50 * time.Millisecond
+
+// waitRecOutboundCoverage is the liveness half of the forced evacuation: a
+// set owned by its own producer's delegate must leave NOW — the delegation
+// being routed may be the one the producing operation blocks on, so there
+// may never be another retry. With the precise ledger the missing coverage
+// is a concrete, observable event: the target delegates executing the
+// set's recorded outbound positions, which they do independently of this
+// (stuck) context. Wait for it, event-driven off the ledger, instead of
+// returning and hoping for another delegation.
+//
+// Two cases cannot be waited out and return false immediately: traffic the
+// set recorded into the victim's OWN lane (only v drains it, and v is the
+// context running this wait), and legacy-veto mode (the global condition
+// carries no per-set signal — any stream through the victim keeps it
+// false, which is exactly the livelock the ledger exists to close).
+func (rt *Runtime) waitRecOutboundCoverage(e *recSetEntry, v int) bool {
+	if rt.cfg.LegacyOutboundVeto {
+		return false
+	}
+	rec := rt.rec
+	if e.outPos[v-1].Load() > rec.delegates[v-1].laneExec[v].Load() {
+		return false // self-lane traffic: waiting would deadlock v on itself
+	}
+	// Park on the target delegates' coverage broadcasts instead of
+	// Gosched-spinning: a draining server's forced evacuation must not burn
+	// a core while an overloaded peer works through the backlog. One
+	// subscription per uncovered target, re-checked between subscribe and
+	// park so a publish racing the subscription cannot be lost (the drain
+	// loop re-reads covWaiters AFTER its laneExec store; seq-cst atomics
+	// order waiter-Add < recheck-load on this side against exec-store <
+	// waiter-load on that side, so one of the two always observes the other).
+	var deadline *time.Timer
+	for {
+		target := -1
+		for dx := range e.outPos {
+			if e.outPos[dx].Load() > rec.delegates[dx].laneExec[v].Load() {
+				target = dx
+				break
+			}
+		}
+		if target < 0 {
+			if deadline != nil {
+				deadline.Stop()
+			}
+			return true
+		}
+		d := rec.delegates[target]
+		ch := d.covSubscribe()
+		if e.outPos[target].Load() <= d.laneExec[v].Load() {
+			d.covUnsubscribe() // covered while subscribing; move on
+			continue
+		}
+		if deadline == nil {
+			deadline = time.NewTimer(evacWaitBudget)
+		}
+		select {
+		case <-ch:
+			d.covUnsubscribe()
+		case <-deadline.C:
+			d.covUnsubscribe()
+			return false
+		}
+	}
+}
+
+// maybeMigrate is the whole-set rebalancer, run by a set's producer on
+// every delegation to an already-owned set under Stealing: loaded victim,
+// quiescent set, idle-or-far-underloaded thief — with the quiescence check
+// covering every producer lane and the producer-handover safety checked
+// against the set's own outbound ledger.
 // The common case (owner below threshold) costs O(producers) counter loads
 // and no atomics beyond them; nothing on this path takes a lock.
 //
@@ -533,7 +643,7 @@ func (rt *Runtime) recOutboundCovered(e *recSetEntry, v int) bool {
 // later delegation: for a program about to block mid-operation on this
 // very set, this delegation is the last scheduling decision the engine
 // ever gets to make.
-func (rt *Runtime) maybeStealRec(producer int, set uint64, e *recSetEntry) {
+func (rt *Runtime) maybeMigrate(producer int, set uint64, e *recSetEntry) {
 	rec := rt.rec
 	st := rec.steal
 	v := int(e.owner.Load())
@@ -632,7 +742,7 @@ func (rt *Runtime) maybeStealRec(producer int, set uint64, e *recSetEntry) {
 	for dx := range e.outPos {
 		e.outPos[dx].Store(0)
 	}
-	e.lastPos[producer].Store(st.laneSent[thief-1][producer].n.Load())
+	e.lastPos[producer].Store(rec.laneSent[thief-1][producer].n.Load())
 	e.owner.Store(int32(thief))
 	e.stamp.Add(1)
 	st.migrations[producer].add(1)
@@ -648,7 +758,7 @@ func (rt *Runtime) maybeStealRec(producer int, set uint64, e *recSetEntry) {
 }
 
 // reseed installs a fresh owner table for a new isolation epoch,
-// pre-placing the previous epoch's top hot sets round-robin across
+// pre-placing the previous epoch's top k hot sets round-robin across
 // delegates (ranked by per-set op counts, ties broken by set id so the
 // seeding itself is deterministic). First-touch placement piles the static
 // table's hottest sets onto one delegate and waits for the rebalancer to
@@ -659,12 +769,14 @@ func (rt *Runtime) maybeStealRec(producer int, set uint64, e *recSetEntry) {
 // same rule the thief scan applies). Returns how many sets were
 // pre-placed. Program context only, between epochs (all contexts
 // quiescent).
-// producers is the capacity-sized producer count (len(rec.enq)), NOT
+// producers is the entry producer count (entryProducers), NOT
 // delegates+1: entry arrays must index every context that could ever
 // produce, while placement spreads over only the currently active pool.
-func (st *recStealState) reseed(delegates, producers int) int {
-	prev := st.owners.Load()
-	hot := rankHotSets(prev, hotSeedCount(delegates))
+func (st *recStealState) reseed(delegates, k, producers int) int {
+	var hot []hotSeed
+	if k > 0 {
+		hot = rankHotSets(st.owners.Load(), k)
+	}
 	next := newRecOwnerTable()
 	slot := 0
 	for _, h := range hot {
@@ -694,7 +806,7 @@ type hotSeed struct {
 }
 
 // topHotSeeds sorts seeds by (ops desc, set asc) — the deterministic
-// hotness ranking both owner tables share — and truncates to the top k.
+// hotness ranking — and truncates to the top k.
 // The input is every set the closing epoch touched (possibly very many;
 // only the output is small), so this must stay O(N log N) on the program
 // context's epoch-transition path.
@@ -785,8 +897,8 @@ func (rt *Runtime) stealRatio() uint64 {
 }
 
 // noteImbalance folds one max/min occupancy observation into the EWMA and
-// re-derives the effective threshold. Called from delegate drain loops
-// (flat and recursive) at drain-run boundaries, only when AdaptiveSteal.
+// re-derives the effective threshold. Called from delegate drain loops at
+// drain-run boundaries, only when AdaptiveSteal.
 func (rt *Runtime) noteImbalance(maxOcc, minOcc uint64) {
 	ratio := int64(((maxOcc + 1) * ewmaFP) / (minOcc + 1))
 	old := rt.imbalanceEWMA.Load()
@@ -825,28 +937,12 @@ func (rt *Runtime) noteImbalance(maxOcc, minOcc uint64) {
 	}
 }
 
-// sampleImbalanceFlat reads every delegate's O(1) queue depth and feeds the
-// spread into the EWMA (flat mode's drain-run boundary sampler).
-func (rt *Runtime) sampleImbalanceFlat() {
+// sampleImbalance feeds the pool-wide occupancy spread, read from the lane
+// ledger (O(delegates*producers) single-writer loads), into the EWMA.
+func (rt *Runtime) sampleImbalance() {
 	maxOcc, minOcc := uint64(0), ^uint64(0)
-	for _, d := range rt.delegates[:int(rt.active.Load())] {
-		n := uint64(d.queue.Len())
-		if n > maxOcc {
-			maxOcc = n
-		}
-		if n < minOcc {
-			minOcc = n
-		}
-	}
-	rt.noteImbalance(maxOcc, minOcc)
-}
-
-// sampleImbalanceRec is the recursive-mode sampler: occupancy from the
-// laneSent/laneExec ledgers (O(delegates*producers) single-writer loads).
-func (rt *Runtime) sampleImbalanceRec() {
-	maxOcc, minOcc := uint64(0), ^uint64(0)
-	for _, d := range rt.rec.delegates[:int(rt.active.Load())] {
-		n := rt.recOccupancy(d.id)
+	for ctx := 1; ctx <= int(rt.active.Load()); ctx++ {
+		n := rt.recOccupancy(ctx)
 		if n > maxOcc {
 			maxOcc = n
 		}

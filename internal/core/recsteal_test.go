@@ -244,16 +244,17 @@ func TestHotSetSeedingFlat(t *testing.T) {
 	rt.EndIsolation()
 	rt.BeginIsolation()
 	defer rt.EndIsolation()
-	if got := len(rt.setOwner); got != 3 {
+	owners := rt.rec.steal.owners.Load()
+	if got := owners.count; got != 3 {
 		t.Fatalf("seeded owner table has %d entries, want 3", got)
 	}
 	for set, want := range map[uint64]int{5: 1, 6: 2, 7: 1} {
-		e, ok := rt.setOwner[set]
-		if !ok || e.ctx != want {
-			t.Fatalf("hot set %d seeded on %v (present %v), want delegate %d", set, e, ok, want)
+		e := owners.lookup(set)
+		if e == nil || int(e.owner.Load()) != want {
+			t.Fatalf("hot set %d seeded on %d, want delegate %d", set, recOwner(rt, set), want)
 		}
-		if e.lastPos != 0 {
-			t.Fatalf("seeded set %d carries lastPos %d, want 0 (quiescent)", set, e.lastPos)
+		if pos := e.lastPos[ProgramContext].Load(); pos != 0 {
+			t.Fatalf("seeded set %d carries lastPos %d, want 0 (quiescent)", set, pos)
 		}
 	}
 	if st := rt.Stats(); st.HotSetsPlaced != 3 {
@@ -273,13 +274,13 @@ func TestHotSetSeedingFlatTopK(t *testing.T) {
 	rt.EndIsolation()
 	rt.BeginIsolation()
 	defer rt.EndIsolation()
-	if got, want := len(rt.setOwner), hotSeedCount(2); got != want {
+	if got, want := rt.rec.steal.owners.Load().count, hotSeedCount(2); got != want {
 		t.Fatalf("seeded %d sets, want top-%d", got, want)
 	}
 	// Hottest-first round-robin: 9 -> d1, 8 -> d2, 7 -> d1, 6 -> d2.
 	for set, want := range map[uint64]int{9: 1, 8: 2, 7: 1, 6: 2} {
-		if e := rt.setOwner[set]; e == nil || e.ctx != want {
-			t.Fatalf("set %d seeded on %v, want delegate %d", set, e, want)
+		if got := recOwner(rt, set); got != want {
+			t.Fatalf("set %d seeded on %d, want delegate %d", set, got, want)
 		}
 	}
 }
@@ -522,7 +523,7 @@ func TestAdaptiveThresholdResetsAtEpoch(t *testing.T) {
 
 // TestRecursiveFirstTouchOffOwnProducer: a set whose FIRST delegation
 // comes from a delegate context and whose static home is that same
-// delegate must be re-homed before the push — maybeStealRec never runs on
+// delegate must be re-homed before the push — maybeMigrate never runs on
 // the first-touch path, so without the re-home the operation self-enqueues
 // and a producer blocking on it (as here) deadlocks with no later
 // delegation ever arriving to evacuate the set. Delegates=2: sets 100 and

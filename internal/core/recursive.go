@@ -10,59 +10,75 @@ import (
 	"repro/internal/spsc"
 )
 
-// Recursive delegation — the extension the paper names as future work
-// ("we plan to extend the runtime to support recursive delegation to
-// improve programmability", §4) — built to the same performance standard
-// as the flat path: zero heap allocations and O(1) work per steady-state
-// delegation. With Config.Recursive enabled, delegated operations may
-// themselves delegate further operations through their execution context.
+// The lane engine. The paper's runtime (§4) feeds each delegate through
+// one SPSC queue written by the program context. This engine generalizes
+// that queue to a row of lanes so the extension the paper names as future
+// work — recursive delegation ("we plan to extend the runtime to support
+// recursive delegation to improve programmability", §4) — runs on the same
+// machinery as plain delegation: lane 0 of every delegate is the paper's
+// program-context queue, and with Config.Recursive enabled, delegated
+// operations may themselves delegate further operations through the lanes
+// of their own execution context. Every delegation costs zero heap
+// allocations and O(1) work in steady state.
 //
 // Plumbing. SPSC queues admit a single producer, so each delegate owns one
 // inbound lane per producer context (the program context and every
-// delegate). Lanes are bounded lap-stamped value rings (spsc.Lane, sharing
-// the flat path's slot machinery) backed by an unbounded spill list that
-// engages only on overflow: a purely bounded lane would self-deadlock when
-// a delegate delegates to a set it itself owns (or around a delegation
-// cycle), because only blocked contexts could drain it. Delegate producers
-// therefore never block — they spill — while the program context, which no
-// delegate's progress can depend on, uses the blocking push and gets
-// bounded-queue backpressure. In steady state every delegation writes its
-// invocation record by value into ring memory: no allocation, no node
-// chasing.
+// delegate). Lanes are bounded lap-stamped value rings (spsc.Lane) backed
+// by an unbounded spill list that engages only on overflow: a purely
+// bounded lane would self-deadlock when a delegate delegates to a set it
+// itself owns (or around a delegation cycle), because only blocked
+// contexts could drain it. Delegate producers therefore never block — they
+// spill — while the program context, which no delegate's progress can
+// depend on, uses the blocking push and gets bounded-queue backpressure.
+// In steady state every delegation writes its invocation record by value
+// into ring memory: no allocation, no node chasing. Program lanes are built
+// with the pool; a delegate-producer lane is built on its producer's first
+// push, so a runtime that never delegates recursively pays for one ring
+// per delegate, not O(MaxDelegates²).
 //
 // Consumption. Each delegate keeps a pending-lane bitmask (bit p set =
 // lane p may hold work). A producer publishes work with one conditional
 // atomic OR plus a wake check; the delegate claims pending lanes with a
-// single Swap and drains each claimed lane in batched runs (the consumer
-// mirror of the flat path's PopBatch drain), publishing its executed
-// counter once per run instead of once per operation. An idle delegate
-// checks O(1) words instead of polling all Delegates+1 lanes round-robin.
+// single Swap and drains each claimed lane in batched runs, publishing its
+// per-lane executed counter once per run instead of once per operation.
+// An idle delegate checks O(1) words instead of polling all Delegates+1
+// lanes round-robin.
 //
 // Ordering. Per-set program order is preserved per producer: operations a
 // producer sends to one set stay in order (one lane, FIFO across ring and
 // spill). For the execution to stay deterministic, a serialization set
 // must receive delegations from only one producer context per isolation
 // epoch — the natural structure of divide-and-conquer programs, enforced
-// in checked mode by a sharded producer table.
+// in checked recursive mode by a sharded producer table. Without
+// Config.Recursive the program context is the only producer, and every
+// set trivially has one.
 //
-// Quiescence. Barriers change meaning under recursion: draining every lane
-// once is not enough, because executing an operation may enqueue more
-// work. Each producer context counts what it enqueued (single-writer
-// padded counters — no shared hot-path atomics) and each delegate counts
-// what it executed; recBarrier aggregates both sides and repeats sync
-// rounds until the sums agree across a full quiet round.
+// Quiescence. The lane ledger is two single-writer counters per lane: the
+// producer counts the messages it pushed (laneSent, padded so producers
+// never share a line) and the delegate counts the messages it finished
+// (laneExec, published at drain-run boundaries). A delegate's backlog, a
+// set's handoff safety (recsteal.go) and the barrier all read it; the
+// delegation hot path never touches shared state. Barriers repeat sync
+// rounds until the ledger balances across a full quiet round — executing
+// an operation may enqueue more work, so draining every lane once is not
+// enough.
 
-// Wake-state values for the delegate parking protocol (the recursive
+// Wake-state values for the delegate parking protocol (the lane-engine
 // analogue of spsc's sleepState).
 const (
 	recAwake    int32 = iota // delegate is running (or about to re-check)
 	recSleeping              // delegate is parked on its wake channel
 )
 
-// recDelegate is a delegate context in recursive mode.
+// recDelegate is a delegate context.
 type recDelegate struct {
-	id    int
-	lanes []*spsc.Lane[Invocation] // indexed by producer context id
+	id int
+	// lanes[p] is the inbound lane of producer context p. Lane 0 (the
+	// program context's) is built with the pool; lane p >= 1 is built and
+	// published by producer p on its first push — the producer is its only
+	// writer, stores the pointer before raising pending bit p, and never
+	// replaces it, so a consumer that claimed the bit always loads it.
+	lanes []atomic.Pointer[spsc.Lane[Invocation]]
 
 	// pending is the lane-readiness bitmask, one bit per producer lane
 	// (64 lanes per word). Bit p is set by producer p after a push and
@@ -75,19 +91,19 @@ type recDelegate struct {
 	sleep atomic.Int32
 	wake  chan struct{}
 
-	// exec publishes how many method invocations this delegate has
-	// finished running — stored, not added, once per drained run (the
-	// delegate is its only writer). recBarrier sums it across delegates.
-	exec atomic.Uint64
+	// The fields above are read by producers on every push; the fields
+	// below are written by this delegate at every drain run (or
+	// operation). The pad keeps those stores from invalidating the
+	// producers' line.
+	_ [cacheLine]byte
 
 	// laneExec[p] publishes how many of lane p's messages (methods, syncs,
 	// terminates alike — everything producers count in laneSent) this
-	// delegate has finished executing, stored at the same drain-run
-	// boundaries as exec. Lanes are FIFO, so laneExec[p] >= position
-	// proves every message at or before that lane position has run — the
-	// coverage half of the whole-set handoff protocol (recsteal.go). Nil
-	// unless Config.Stealing: the ledger publishes cost two atomics per
-	// drain run, which single-op runs would pay per operation.
+	// delegate has finished executing, stored once per drain run (the
+	// delegate is its only writer). Lanes are FIFO, so laneExec[p] >=
+	// position proves every message at or before that lane position has
+	// run: the executed half of the ledger behind backlogs, barriers, and
+	// the whole-set handoff protocol (recsteal.go).
 	laneExec []atomic.Uint64
 
 	// drainBatches/drainedOps count the batched lane drains; aggregated
@@ -112,23 +128,34 @@ type recDelegate struct {
 	// (recsteal.go), maintained only under stealing and touched only by
 	// this delegate's goroutine — plain fields, no atomics. prodSet is the
 	// serialization set of the method invocation currently executing
-	// (noSetID for pool tasks): any nested delegation the invocation
-	// issues is that set's own outbound traffic, recorded against its
-	// entry by noteOutbound. prodCachedSet/prodEntry/prodTable are the
-	// one-slot entry cache keyed on (owner table, set) so runs of one
-	// set's operations resolve the entry once, and an epoch's table swap
-	// invalidates it by pointer.
+	// (noSetID for pool tasks): any nested delegation the invocation issues
+	// is that set's own outbound traffic, recorded against its entry by
+	// noteOutbound.
+	// prodCachedSet/prodEntry/prodTable are the one-slot entry cache keyed
+	// on (owner table, set) so runs of one set's operations resolve the
+	// entry once, and an epoch's table swap invalidates it by pointer.
 	prodSet       uint64
 	prodCachedSet uint64
 	prodEntry     *recSetEntry
 	prodTable     *recOwnerTable
+
+	_ [cacheLine]byte // keeps the next heap object off the last line written here
 }
 
-// recCounter is a cache-line-padded single-writer counter: one per
-// producer context for the enqueued side of the quiescence ledger, so
-// concurrent delegations from different contexts never contend on a
-// shared counter line (the previous engine's two global atomics were the
-// hottest shared state in recursive mode).
+// cacheLine is the assumed CPU cache-line size for padding.
+const cacheLine = 64
+
+// lineArray allocates an n-element array of 8-byte words rounded up to
+// whole cache lines — an allocation size class that is line-aligned — so
+// small per-delegate arrays written by different goroutines (a producer's
+// lane pointers, a delegate's executed counters) never share a line.
+func lineArray[T any](n int) []T {
+	const perLine = cacheLine / 8
+	return make([]T, (n+perLine-1)/perLine*perLine)[:n]
+}
+
+// recCounter is a cache-line-padded single-writer counter, so concurrent
+// producers never contend on a shared counter line.
 type recCounter struct {
 	n atomic.Uint64
 	_ [56]byte
@@ -137,34 +164,43 @@ type recCounter struct {
 // add bumps the counter without an RMW: the owner is the only writer.
 func (c *recCounter) add(delta uint64) { c.n.Store(c.n.Load() + delta) }
 
-// recState is the recursive-mode extension of Runtime.
+// recState is the lane engine behind a Runtime.
 type recState struct {
 	delegates []*recDelegate
-	// enq[p] counts the method invocations producer context p has
-	// enqueued; single writer each (the goroutine running context p).
-	enq []recCounter
+	// laneSent[d][p] counts every message (method, sync, terminate)
+	// producer p has pushed into delegate d+1's lane p. Single writer
+	// (producer p), padded so concurrent producers never share a line.
+	laneSent [][]recCounter
+	// pool is the spill-node pool shared by every lane of this runtime, so
+	// spill pressure that moves between lanes keeps recycling nodes.
+	pool *spsc.NodePool[Invocation]
 	// producers enforces the one-producer-per-set discipline (checked
-	// mode only; nil otherwise).
+	// recursive mode without stealing only; nil otherwise).
 	producers *producerTable
-	// steal holds the whole-set work-stealing state (owner table, lane
-	// ledgers, migration counters); nil unless Config.Stealing.
+	// steal holds the owner-table placement state (owner table, migration
+	// counters); nil unless Policy is LeastLoaded. Sets migrate between
+	// owners only under Config.Stealing.
 	steal *recStealState
 }
 
-// enqSum aggregates the enqueued side of the quiescence ledger.
-func (rec *recState) enqSum() uint64 {
+// sentSum is the pushed side of the ledger, summed over every lane.
+func (rec *recState) sentSum() uint64 {
 	var sum uint64
-	for i := range rec.enq {
-		sum += rec.enq[i].n.Load()
+	for _, row := range rec.laneSent {
+		for p := range row {
+			sum += row[p].n.Load()
+		}
 	}
 	return sum
 }
 
-// execSum aggregates the executed side.
+// execSum is the executed side of the ledger, summed over every lane.
 func (rec *recState) execSum() uint64 {
 	var sum uint64
 	for _, d := range rec.delegates {
-		sum += d.exec.Load()
+		for p := range d.laneExec {
+			sum += d.laneExec[p].Load()
+		}
 	}
 	return sum
 }
@@ -228,17 +264,20 @@ func (t *producerTable) reset() {
 	}
 }
 
-// initRecursive builds the lane matrix and starts the drain loops.
-func (rt *Runtime) initRecursive() {
+// initLanes builds the delegate pool and its lane matrix and starts the
+// drain loops.
+func (rt *Runtime) initLanes() {
 	cfg := rt.cfg
 	// The lane matrix, ledgers, and producer-indexed arrays are all sized
 	// to POOL CAPACITY, not the initial active count: a later Resize must
 	// not reallocate any structure a running drain loop or producer indexes
-	// into. Only the drain goroutines themselves scale (costing
-	// O(MaxDelegates^2) pre-allocated rings — documented on MaxDelegates).
+	// into. Only the drain goroutines themselves scale.
 	nProducers := cfg.MaxDelegates + 1
-	rec := &recState{enq: make([]recCounter, nProducers)}
-	if cfg.Checked && !cfg.Stealing {
+	rec := &recState{
+		laneSent: make([][]recCounter, cfg.MaxDelegates),
+		pool:     spsc.NewNodePool[Invocation](),
+	}
+	if cfg.Checked && cfg.Recursive && !cfg.Stealing {
 		// The static-placement discipline: one producer context per set per
 		// epoch, enforced by the sharded registry. Under stealing the
 		// owner-table entries enforce the generalized rule instead (producer
@@ -246,35 +285,29 @@ func (rt *Runtime) initRecursive() {
 		// engine-driven migrations legitimately move the producer role.
 		rec.producers = newProducerTable()
 	}
-	if cfg.Stealing {
-		rec.steal = newRecStealState(cfg.MaxDelegates, nProducers)
+	if cfg.Policy == LeastLoaded {
+		rec.steal = newRecStealState(nProducers)
 	}
-	// One spill-node pool shared by every lane of this runtime, so spill
-	// pressure that moves between lanes keeps recycling nodes.
-	pool := spsc.NewNodePool[Invocation]()
 	words := (nProducers + 63) / 64
 	for i := 0; i < cfg.MaxDelegates; i++ {
 		d := &recDelegate{
-			id:      i + 1,
-			pending: make([]atomic.Uint64, words),
-			wake:    make(chan struct{}, 1),
-			prodSet: noSetID, // nothing executing yet: attribute to no set
+			id:       i + 1,
+			lanes:    lineArray[atomic.Pointer[spsc.Lane[Invocation]]](nProducers),
+			pending:  lineArray[atomic.Uint64](words),
+			wake:     make(chan struct{}, 1),
+			laneExec: lineArray[atomic.Uint64](nProducers),
+			covCh:    make(chan struct{}),
+			prodSet:  noSetID, // nothing executing yet: attribute to no set
 		}
-		if cfg.Stealing {
-			d.laneExec = make([]atomic.Uint64, nProducers)
-			d.covCh = make(chan struct{})
-		}
-		for p := 0; p < nProducers; p++ {
-			d.lanes = append(d.lanes, spsc.NewLanePooled[Invocation](cfg.QueueCapacity, pool))
-		}
+		d.lanes[ProgramContext].Store(spsc.NewLanePooled[Invocation](cfg.QueueCapacity, rec.pool))
+		rec.laneSent[i] = make([]recCounter, nProducers)
 		rec.delegates = append(rec.delegates, d)
 	}
 	// Publish the engine state BEFORE spawning any drain loop: an idle
 	// delegate reaches its first imbalance-sample tick without ever
 	// synchronizing with this goroutine, so everything it may read —
-	// rt.rec, the full delegates slice, the steal ledgers — must be
-	// complete when the goroutine starts (the go statement is the
-	// happens-before edge).
+	// rt.rec, the full delegates slice, the ledgers — must be complete when
+	// the goroutine starts (the go statement is the happens-before edge).
 	rt.rec = rec
 	for _, d := range rec.delegates[:cfg.Delegates] {
 		rt.wg.Add(1)
@@ -346,23 +379,24 @@ func (d *recDelegate) anyPending() bool {
 // recEnqueue routes one invocation from any producer context to the owner
 // of its set. The steady-state cost is one padded-counter bump, one ring
 // write, one pending-bit load (or OR), and one sleep-flag load — no
-// allocation, no contended atomics. With stealing enabled the owner comes
-// from the dynamic table (recRoute), which also runs the rebalancer and
-// records the operation's lane position; without it the static assignment
-// path is untouched. Callers have already dispatched on Sequential mode.
+// allocation, no contended atomics. Under LeastLoaded the owner comes from
+// the dynamic table (recRoute), which also runs the rebalancer and records
+// the operation's lane position; otherwise from the static assignment
+// table. Callers have already dispatched on Sequential mode and on
+// program-owned sets.
 func (rt *Runtime) recEnqueue(producer int, set uint64, inv Invocation) int {
 	rec := rt.rec
 	if rt.cfg.Checked && set == noSetID {
 		// The engine reserves this one id as the pool-task sentinel: a
 		// user set named by it would have its nested delegations dropped
 		// from the outbound ledger, silently voiding the migration safety
-		// check. Turn that into the diagnostic every other discipline
-		// violation gets.
-		panic("prometheus: serialization set id ^uint64(0) is reserved by the engine (recursive pool-task sentinel); use any other id")
+		// check, and its faults would never poison it. Turn that into the
+		// diagnostic every other discipline violation gets.
+		panic("prometheus: serialization set id ^uint64(0) is reserved by the engine (pool-task sentinel); use any other id")
 	}
 	if fs := rt.faults.Load(); fs != nil && rt.maybeDrop(fs, set) {
 		// The set is poisoned this epoch: drop-but-count, touching none of
-		// the enqueue/laneSent ledgers (the operation never enters them).
+		// the ledgers (the operation never enters them).
 		return rt.ContextFor(set)
 	}
 	if rec.producers != nil {
@@ -370,13 +404,17 @@ func (rt *Runtime) recEnqueue(producer int, set uint64, inv Invocation) int {
 	}
 	var owner int
 	if rec.steal != nil {
-		owner = rt.recRoute(producer, set)
+		owner = rt.recRoute(producer, set) // bumps laneSent itself
 	} else {
 		owner = rt.vmap[set%uint64(len(rt.vmap))]
+		rec.laneSent[owner-1][producer].add(1)
 	}
 	d := rec.delegates[owner-1]
-	rec.enq[producer].add(1)
-	lane := d.lanes[producer]
+	lane := d.lanes[producer].Load()
+	if lane == nil {
+		lane = spsc.NewLanePooled[Invocation](rt.cfg.QueueCapacity, rec.pool)
+		d.lanes[producer].Store(lane)
+	}
 	if producer == ProgramContext {
 		// The program context is never inside a delegation cycle, so it
 		// can block on a full ring: bounded-queue backpressure instead of
@@ -392,44 +430,32 @@ func (rt *Runtime) recEnqueue(producer int, set uint64, inv Invocation) int {
 }
 
 // recSend delivers a control or task message from the program context
-// straight to a delegate's program lane, keeping the stealing lane ledger
+// straight to a delegate's program lane, keeping the lane ledger
 // consistent: every message a lane carries must be counted in laneSent,
 // or the delegate's laneExec could overtake a producer's recorded
 // positions and make an in-flight set look quiescent.
 func (rt *Runtime) recSend(d *recDelegate, inv Invocation) {
-	if st := rt.rec.steal; st != nil {
-		st.laneSent[d.id-1][ProgramContext].add(1)
+	rt.rec.laneSent[d.id-1][ProgramContext].add(1)
+	if inv.kind != kindMethod {
+		rt.ctl++
 	}
-	d.lanes[ProgramContext].PushBlocking(inv)
+	d.lanes[ProgramContext].Load().PushBlocking(inv)
 	d.notify(ProgramContext)
 }
 
-// delegateFrom routes a closure delegation from any producer context in
-// recursive mode (the flexible path: tracing, RunParallel, and
-// closure-based API calls). Inline execution is not used: every set is
-// owned by a delegate (ProgramShare is rejected under Recursive), so
-// ordering never depends on which context produced the operation.
-func (rt *Runtime) delegateFrom(producer int, set uint64, fn func(ctx int)) int {
-	if rt.cfg.Sequential {
-		rt.stats.InlineExecs++
-		fn(ProgramContext)
-		return ProgramContext
-	}
-	return rt.recEnqueue(producer, set, Invocation{kind: kindMethod, set: set, fn: fn})
-}
-
-// recLoop is the body of a recursive delegate: claim pending lanes with
-// one Swap per word, drain each claimed lane in batched runs, publish
-// executed progress once per run, park when every word stays zero.
+// recLoop is the body of a delegate: claim pending lanes with one Swap per
+// word, drain each claimed lane in batched runs, publish executed progress
+// once per run, park when every word stays zero.
 func (rt *Runtime) recLoop(d *recDelegate) {
 	defer rt.wg.Done()
 	buf := make([]Invocation, drainBatchSize)
-	// Seed from the published counter, not zero: a delegate respawned by a
-	// scale-up resumes the count where its parked predecessor stopped, so
-	// occupancy (laneSent - exec) stays exact across resizes.
-	executed := d.exec.Load() // method invocations completed; published via d.exec
 	adaptive := rt.cfg.Stealing && rt.cfg.AdaptiveSteal
 	spin, sampleTick := 0, 0
+	// worked records a drain since the delegate last woke. Only then does
+	// its going idle carry news for the imbalance EWMA: a delegate that has
+	// run nothing since it woke (a fresh pool, a spurious wake) would only
+	// re-sample a pool it has not seen change.
+	worked := false
 	for {
 		progress := false
 		for w := range d.pending {
@@ -437,7 +463,7 @@ func (rt *Runtime) recLoop(d *recDelegate) {
 			for claimed != 0 {
 				p := w<<6 | bits.TrailingZeros64(claimed)
 				claimed &= claimed - 1
-				drained, terminate := rt.drainLane(d, p, d.lanes[p], buf, &executed)
+				drained, terminate := rt.drainLane(d, p, d.lanes[p].Load(), buf)
 				if terminate {
 					return
 				}
@@ -445,12 +471,13 @@ func (rt *Runtime) recLoop(d *recDelegate) {
 			}
 		}
 		if progress {
+			worked = true
 			if adaptive {
 				// Every imbalanceSampleStride-th drain-run boundary: feed the
 				// pool-wide occupancy spread into the in-epoch threshold EWMA.
 				if sampleTick++; sampleTick >= imbalanceSampleStride {
 					sampleTick = 0
-					rt.sampleImbalanceRec()
+					rt.sampleImbalance()
 				}
 			}
 			spin = 0
@@ -459,12 +486,12 @@ func (rt *Runtime) recLoop(d *recDelegate) {
 		spin++
 		if spin < spinBeforeParkRec {
 			if spin%4 == 0 {
-				if adaptive {
+				if adaptive && worked {
 					// An idle delegate is the min-occupancy extreme the
 					// imbalance EWMA exists to detect, and it has nothing
 					// better to do: sample eagerly here so skew is noticed
 					// while the busy path samples only every stride-th run.
-					rt.sampleImbalanceRec()
+					rt.sampleImbalance()
 				}
 				if spin%16 == 0 {
 					runtime.Gosched()
@@ -481,7 +508,7 @@ func (rt *Runtime) recLoop(d *recDelegate) {
 			spin = 0
 			continue
 		}
-		if adaptive {
+		if adaptive && worked {
 			// Final sample at the park boundary: a parked delegate
 			// contributes nothing to the EWMA while it sleeps, so without
 			// this the pool-wide ratio freezes on whatever the spin-down
@@ -490,38 +517,31 @@ func (rt *Runtime) recLoop(d *recDelegate) {
 			// real spread would put it. One fresh read of every occupancy
 			// with this delegate now at zero resets that sample before the
 			// EWMA goes quiet.
-			rt.sampleImbalanceRec()
+			rt.sampleImbalance()
 		}
 		<-d.wake
 		d.sleep.Store(recAwake)
-		spin, sampleTick = 0, 0
+		spin, sampleTick, worked = 0, 0, false
 	}
 }
 
 // drainLane empties one claimed lane in batched runs: values are popped
-// drainBatchSize at a time and executed back to back, with the executed
-// counters published once per run rather than once per operation — the
-// consumer-side mirror of the flat path's PopBatch drain. Two counters are
-// published at each run boundary: exec (methods only, the quiescence
-// ledger) and laneExec[p] (every message, the handoff-coverage ledger; a
-// producer that observes laneExec[p] >= its recorded position knows that
-// message, and the FIFO lane prefix before it, has finished). It returns
-// whether anything was drained, and whether a termination object was
-// served (the loop must exit). Draining to empty is what makes the
-// claimed-then-cleared pending bit safe: any value pushed after the final
-// empty observation re-raises the bit.
+// drainBatchSize at a time and executed back to back, with the lane's
+// executed counter (laneExec[p]) published once per run rather than once
+// per operation. A producer that observes laneExec[p] >= its recorded
+// position knows that message, and the FIFO lane prefix before it, has
+// finished. It returns whether anything was drained, and whether a
+// termination object was served (the loop must exit). Draining to empty is
+// what makes the claimed-then-cleared pending bit safe: any value pushed
+// after the final empty observation re-raises the bit.
 //
 // Execution runs in recover()-protected spans (recExecSpan) — one deferred
 // recover per batch when fault-free, re-entered after each contained panic
 // so the delegate survives and the batch tail still runs against the fresh
 // fault state.
-func (rt *Runtime) drainLane(d *recDelegate, p int, lane *spsc.Lane[Invocation], buf []Invocation, executed *uint64) (drained, terminate bool) {
-	var le *atomic.Uint64 // lane ledger: maintained only under stealing
-	var base uint64
-	if d.laneExec != nil {
-		le = &d.laneExec[p]
-		base = le.Load() // single writer: this delegate
-	}
+func (rt *Runtime) drainLane(d *recDelegate, p int, lane *spsc.Lane[Invocation], buf []Invocation) (drained, terminate bool) {
+	le := &d.laneExec[p]
+	base := le.Load() // single writer: this delegate
 	inject := rt.cfg.FaultInjector
 	for {
 		n := lane.PopBatch(buf)
@@ -534,23 +554,20 @@ func (rt *Runtime) drainLane(d *recDelegate, p int, lane *spsc.Lane[Invocation],
 		i := 0
 		for i < n {
 			fs := rt.faults.Load()
-			next, term := rt.recExecSpan(d, buf, i, n, executed, le, base, fs, inject)
+			next, term := rt.recExecSpan(d, buf, i, n, le, base, fs, inject)
 			if term {
 				clear(buf[:n])
 				return true, true
 			}
 			i = next
 		}
-		d.exec.Store(*executed)
-		if le != nil {
-			base += uint64(n)
-			le.Store(base)
-			if d.covWaiters.Load() != 0 {
-				// A producer is parked in waitRecOutboundCoverage on this
-				// delegate's laneExec advancing; the store above may be the
-				// coverage it needs. One atomic load on the waiter-free path.
-				d.covSignal()
-			}
+		base += uint64(n)
+		le.Store(base)
+		if rt.cfg.Stealing && d.covWaiters.Load() != 0 {
+			// A producer is parked in waitRecOutboundCoverage on this
+			// delegate's laneExec advancing; the store above may be the
+			// coverage it needs. One atomic load on the waiter-free path.
+			d.covSignal()
 		}
 		// Drop payload references so executed invocations don't pin their
 		// closures and payloads until the buffer is refilled.
@@ -560,24 +577,20 @@ func (rt *Runtime) drainLane(d *recDelegate, p int, lane *spsc.Lane[Invocation],
 
 // recExecSpan executes buf[start:n] of one lane under a single deferred
 // recover. A recovered panic records the fault (poisoning the set), counts
-// the faulted operation as executed, and publishes BOTH ledgers — exec and
-// laneExec — before returning, so the recursive quiescence and
-// handoff-coverage proofs advance past the faulted operation and the
-// counter publishes carry the happens-before edge that makes the poison
-// deterministic for every observer of those proofs. Operations of a
-// poisoned set are skipped-but-counted; a poisoned set is never stolen
-// (maybeStealRec), so its backlog always drains on the owner that wrote
-// the poison and the skip point stays exact.
-func (rt *Runtime) recExecSpan(d *recDelegate, buf []Invocation, start, n int, executed *uint64, le *atomic.Uint64, base uint64, fs *faultState, inject func(int, uint64)) (next int, terminated bool) {
+// the faulted operation as executed, and publishes the lane's executed
+// counter before returning, so the quiescence and handoff-coverage proofs
+// advance past the faulted operation and the counter publish carries the
+// happens-before edge that makes the poison deterministic for every
+// observer of those proofs. Operations of a poisoned set are
+// skipped-but-counted; a poisoned set is never stolen (maybeMigrate), so
+// its backlog always drains on the owner that wrote the poison and the
+// skip point stays exact.
+func (rt *Runtime) recExecSpan(d *recDelegate, buf []Invocation, start, n int, le *atomic.Uint64, base uint64, fs *faultState, inject func(int, uint64)) (next int, terminated bool) {
 	i := start
 	defer func() {
 		if v := recover(); v != nil {
 			rt.recordPanic(d.id, buf[i].set, v)
-			*executed++
-			d.exec.Store(*executed)
-			if le != nil {
-				le.Store(base + uint64(i) + 1)
-			}
+			le.Store(base + uint64(i) + 1)
 			next, terminated = i+1, false
 		}
 	}()
@@ -587,35 +600,26 @@ func (rt *Runtime) recExecSpan(d *recDelegate, buf []Invocation, start, n int, e
 		case kindMethod:
 			if fs != nil && inv.set != noSetID && fs.lookup(inv.set) != nil {
 				fs.dropped.Add(1)
-				*executed++
 				continue
 			}
-			if le != nil {
+			if rt.cfg.Stealing {
 				// Stamp the producing set before running the operation:
-				// nested delegations it issues charge their lane
-				// positions to this set's outbound ledger
-				// (noteOutbound). One plain store; only this goroutine
-				// reads it back.
+				// nested delegations it issues charge their lane positions
+				// to this set's outbound ledger (noteOutbound). One plain
+				// store; only this goroutine reads it back.
 				d.prodSet = inv.set
 			}
 			if inject != nil {
 				inject(d.id, inv.set)
 			}
 			inv.invoke(d.id)
-			*executed++
 		case kindSync:
-			// Publish progress before signaling: an observer of done
-			// must see every earlier invocation counted.
-			d.exec.Store(*executed)
-			if le != nil {
-				le.Store(base + uint64(i) + 1)
-			}
+			// Publish progress before signaling: an observer of done must
+			// see every earlier message of this lane counted.
+			le.Store(base + uint64(i) + 1)
 			close(inv.done)
 		case kindTerminate:
-			d.exec.Store(*executed)
-			if le != nil {
-				le.Store(base + uint64(i) + 1)
-			}
+			le.Store(base + uint64(i) + 1)
 			close(inv.done)
 			return i, true
 		}
@@ -624,21 +628,22 @@ func (rt *Runtime) recExecSpan(d *recDelegate, buf []Invocation, start, n int, e
 }
 
 // recBarrier waits until every delegate has drained every lane and no
-// operation remains in flight: sync rounds repeat until the
-// enqueued/executed ledgers agree across a full quiet round. The sums
-// aggregate single-writer per-producer and per-delegate counters — the
-// barrier is the only place the two sides of the ledger meet, so the
-// delegation hot path never touches shared quiescence state.
+// operation remains in flight: sync rounds repeat until the ledger
+// balances across a full quiet round. The sums aggregate single-writer
+// per-lane counters — the barrier is the only place the two sides of the
+// ledger meet, so the delegation hot path never touches shared quiescence
+// state.
 func (rt *Runtime) recBarrier() {
 	rec := rt.rec
+	// Sync only the ACTIVE prefix: a delegate parked by a scale-down has no
+	// drain loop to serve the sync (the send would hang forever). Its frozen
+	// counters still participate in the ledger sums below — they balanced
+	// at park time and stay balanced.
+	active := rec.delegates[:rt.cfg.Delegates]
 	for {
-		before := rec.enqSum()
-		// Sync only the ACTIVE prefix: a delegate parked by a scale-down has
-		// no drain loop to serve the sync (the send would hang forever). Its
-		// frozen exec/laneExec counters still participate in the ledger sums
-		// below — they balanced at park time and stay balanced.
-		dones := make([]chan struct{}, 0, rt.cfg.Delegates)
-		for _, d := range rec.delegates[:rt.cfg.Delegates] {
+		before := rec.sentSum()
+		dones := make([]chan struct{}, 0, len(active))
+		for _, d := range active {
 			done := make(chan struct{})
 			rt.recSend(d, Invocation{kind: kindSync, done: done})
 			dones = append(dones, done)
@@ -646,13 +651,22 @@ func (rt *Runtime) recBarrier() {
 		for _, done := range dones {
 			rt.waitDone(done)
 		}
-		if rec.execSum() == before && rec.enqSum() == before {
-			return
+		// Quiet round: nothing but this round's syncs was sent since
+		// `before`, and every message sent has executed. The executed side
+		// is read first: exec <= sent per lane at every instant, and both
+		// only grow, so equal sums read in this order prove the ledger
+		// balanced at the moment between the two reads.
+		quiet := before + uint64(len(active))
+		if rec.execSum() == quiet && rec.sentSum() == quiet {
+			break
 		}
+	}
+	for i := range active {
+		rt.synced[i] = rec.laneSent[i][ProgramContext].n.Load()
 	}
 }
 
-// recTerminate shuts down the recursive delegate pool.
+// recTerminate drains and shuts down the delegate pool.
 func (rt *Runtime) recTerminate() {
 	rt.recBarrier()
 	for _, d := range rt.rec.delegates[:rt.cfg.Delegates] {

@@ -124,8 +124,8 @@ func TestSyncSetLeastLoadedUnknownSetNoop(t *testing.T) {
 	rt := newTestRuntime(t, Config{Delegates: 2, Policy: LeastLoaded})
 	rt.BeginIsolation()
 	rt.SyncSet(999) // never delegated: must not deadlock or assign
-	if _, ok := rt.setOwner[999]; ok {
-		t.Fatal("SyncSet should not assign an owner")
+	if got := recOwner(rt, 999); got != 0 {
+		t.Fatalf("SyncSet assigned owner %d", got)
 	}
 	rt.EndIsolation()
 }
@@ -141,10 +141,10 @@ func TestLeastLoadedSticky(t *testing.T) {
 		}
 	}
 	rt.EndIsolation()
-	// New epoch may choose a different owner; the map must reset.
+	// New epoch may choose a different owner; the table must reset.
 	rt.BeginIsolation()
-	if len(rt.setOwner) != 0 {
-		t.Fatal("setOwner not cleared at epoch start")
+	if n := rt.rec.steal.owners.Load().count; n != 0 {
+		t.Fatalf("owner table carries %d entries into the new epoch", n)
 	}
 	rt.EndIsolation()
 }

@@ -32,20 +32,22 @@ func (p Phase) String() string {
 // aggregated from per-delegate (and per-producer, and per-lane) atomics
 // when a snapshot is taken, so a Stats() call may observe work mid-flight.
 type Stats struct {
-	Delegations  uint64 // operations sent to delegate contexts
-	InlineExecs  uint64 // operations executed inline in the program context
-	Syncs        uint64 // ownership reclaims (synchronization objects)
-	Barriers     uint64 // full-runtime barriers (EndIsolation, Sleep)
-	Epochs       uint64 // isolation epochs begun
-	BatchFlushes uint64 // delegation-buffer flushes (batches delivered)
-	BatchedOps   uint64 // delegations delivered through the batch buffer
-	Steals       uint64 // serialization sets handed off by the occupancy-aware rebalancer (flat and recursive)
-	Handoffs     uint64 // recursive-mode whole-set handoffs (the multi-producer quiescent protocol; a subset of Steals)
-	ForcedEvacs  uint64 // recursive handoffs forced off a set's own producer's delegate (self-delegation hazard; a subset of Handoffs)
+	Delegations uint64 // operations sent to delegate contexts
+	InlineExecs uint64 // operations executed inline in the program context
+	Syncs       uint64 // ownership reclaims (synchronization objects)
+	Barriers    uint64 // full-runtime barriers (EndIsolation, Sleep)
+	Epochs      uint64 // isolation epochs begun
+	// Deprecated: always 0; delegations are not buffered.
+	BatchFlushes uint64
+	// Deprecated: always 0; delegations are not buffered.
+	BatchedOps   uint64
+	Steals       uint64 // serialization sets handed off by the occupancy-aware rebalancer
+	Handoffs     uint64 // whole-set handoffs (the multi-producer quiescent protocol; equal to Steals)
+	ForcedEvacs  uint64 // handoffs forced off a set's own producer's delegate (self-delegation hazard; a subset of Handoffs)
 	DrainBatches uint64 // delegate-side batched drains (PopBatch runs executed)
 	DrainedOps   uint64 // invocations delivered through batched drains
-	RecursiveOps uint64 // invocations enqueued through recursive lanes (all producers)
-	Spills       uint64 // recursive-lane ring overflows absorbed by spill lists
+	RecursiveOps uint64 // method invocations enqueued through lanes by every producer (program delegations, nested delegations, pool tasks)
+	Spills       uint64 // lane ring overflows absorbed by spill lists
 
 	ThresholdAdjusts uint64 // in-epoch adaptive StealThreshold changes (imbalance-EWMA driven)
 	HotSetsPlaced    uint64 // hot sets pre-placed round-robin at BeginIsolation from prior-epoch op counts
@@ -58,7 +60,7 @@ type Stats struct {
 	Resizes             uint64
 	ResizeEvacuatedSets uint64
 
-	// Per-set outbound-ledger counters (recursive stealing). OutboundVetoes
+	// Per-set outbound-ledger counters (stealing under recursion). OutboundVetoes
 	// counts migration attempts blocked because the candidate set's own
 	// recorded outbound traffic was not yet covered by the target lanes'
 	// executed counters; OutboundTracked counts ledger writes (one per

@@ -8,28 +8,23 @@ import (
 	"repro/internal/spsc"
 )
 
-// waitExecuted polls delegate ctx's published progress until it reaches n
-// method invocations (the condition the rebalancer's safe-handoff check
-// reads).
+// waitExecuted polls delegate ctx's published program-lane progress until
+// it covers the first n messages the program context sent it (the
+// condition the rebalancer's safe-handoff check reads).
 func waitExecuted(t *testing.T, rt *Runtime, ctx int, n uint64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for rt.delegates[ctx-1].executed.Load() < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("delegate %d never reached executed=%d (at %d)",
-				ctx, n, rt.delegates[ctx-1].executed.Load())
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	waitLaneExec(t, rt, ctx, ProgramContext, n)
 }
 
+// stealCfg is the non-recursive stealing fixture. Delegates=2 and the
+// default VirtualDelegates=8 give vmap[v] = v%2+1: a set's first touch
+// seeds even sets on delegate 1 and odd sets on delegate 2.
 func stealCfg(delegates, threshold int) Config {
 	return Config{
 		Delegates:      delegates,
 		Policy:         LeastLoaded,
 		Stealing:       true,
 		StealThreshold: threshold,
-		DelegateBatch:  1, // direct pushes so queue/occupancy states are exact
 	}
 }
 
@@ -42,11 +37,10 @@ func TestStealHandsOffQuiescentSet(t *testing.T) {
 	rt.BeginIsolation()
 	defer rt.EndIsolation()
 
-	// Set 100's first op gates delegate 1 (ties in leastLoaded resolve to
-	// the lowest id, and startGated returns only once the op is running).
+	// Set 100's first op gates delegate 1 (its static home; startGated
+	// returns only once the op is running). Set 200's first op also lands
+	// on delegate 1, its static home.
 	release1 := startGated(rt, 100)
-	// Set 200's first op also lands on delegate 1: the gated op has been
-	// popped, so both queues look empty and the tie resolves to 1 again.
 	var b1 atomic.Bool
 	if ctx := rt.Delegate(200, func(int) { b1.Store(true) }); ctx != 1 {
 		t.Fatalf("set 200 seeded on delegate %d, want 1", ctx)
@@ -62,8 +56,8 @@ func TestStealHandsOffQuiescentSet(t *testing.T) {
 	if ctx != 2 {
 		t.Fatalf("quiescent set 200 delegated to %d, want stolen to idle delegate 2", ctx)
 	}
-	if e := rt.setOwner[200]; e.ctx != 2 {
-		t.Fatalf("owner table has set 200 on %d, want 2", e.ctx)
+	if got := recOwner(rt, 200); got != 2 {
+		t.Fatalf("owner table has set 200 on %d, want 2", got)
 	}
 	if st := rt.Stats(); st.Steals != 1 {
 		t.Fatalf("Steals = %d, want 1", st.Steals)
@@ -132,17 +126,17 @@ func TestNoStealWithoutUnderloadedThief(t *testing.T) {
 	rt.BeginIsolation()
 	defer rt.EndIsolation()
 
-	// Gate delegate 1, seed set 200 behind its gate (tie resolves to 1),
-	// then gate delegate 2 — with one op queued on 1, the tie breaks to 2 —
-	// and pile a backlog of set-300 work behind that second gate.
+	// Gate delegate 1, seed set 200 behind its gate (static home 1), then
+	// gate delegate 2 with set 301 (static home 2) and pile a backlog of
+	// set-301 work behind that second gate.
 	release1 := startGated(rt, 100)
 	rt.Delegate(200, func(int) {}) // queue(1) = 1
-	release2 := startGated(rt, 300)
-	if got := rt.setOwner[300].ctx; got != 2 {
-		t.Fatalf("set 300 seeded on %d, want 2", got)
+	release2 := startGated(rt, 301)
+	if got := recOwner(rt, 301); got != 2 {
+		t.Fatalf("set 301 seeded on %d, want 2", got)
 	}
 	for i := 0; i < 4; i++ {
-		rt.Delegate(300, func(int) {})
+		rt.Delegate(301, func(int) {})
 	}
 	release1()
 	waitExecuted(t, rt, 1, 2) // gate + set-200 op done: set 200 quiescent
@@ -292,11 +286,12 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 			rt.BeginIsolation()
 			// Install the skewed sticky ownership the uneven earlier chains
 			// would have left behind (lastPos 0: those chains completed).
+			owners := rt.rec.steal.owners.Load()
 			for s := 0; s < hotSets; s++ {
-				rt.setOwner[uint64(s)] = &setEntry{ctx: 1}
+				owners.insert(uint64(s), newRecSetEntry(1, rt.entryProducers()))
 			}
 			for s := 0; s < coldSets; s++ {
-				rt.setOwner[uint64(hotSets+s)] = &setEntry{ctx: 2 + s%(delegates-1)}
+				owners.insert(uint64(hotSets+s), newRecSetEntry(2+s%(delegates-1), rt.entryProducers()))
 			}
 			b.StartTimer()
 			hot, cold := 0, 0
@@ -325,7 +320,7 @@ func BenchmarkCoreDelegateSkewed(b *testing.B) {
 // TestDrainBatchesCount: a backlog released at once must be consumed through
 // the batched drain path, visible in the DrainedOps counter.
 func TestDrainBatchesCount(t *testing.T) {
-	rt := newTestRuntime(t, Config{Delegates: 1, DelegateBatch: 1})
+	rt := newTestRuntime(t, Config{Delegates: 1})
 	rt.BeginIsolation()
 	release := startGated(rt, 0)
 	var ran atomic.Int64

@@ -48,95 +48,67 @@ func (rt *Runtime) waitDone(done <-chan struct{}) {
 }
 
 // progressSum folds every published delegate counter into one number that
-// advances whenever any delegate does anything observable: method
-// executions (faulted operations included — containment counts them) plus
-// batched-drain deliveries, which also move when a backlog of control
-// messages is served.
+// advances whenever any delegate does anything observable: executed lane
+// messages (faulted operations included — containment counts them) plus
+// batched-drain deliveries.
 func (rt *Runtime) progressSum() uint64 {
-	var sum uint64
-	for _, d := range rt.delegates {
-		sum += d.executed.Load() + d.drainedOps.Load()
-	}
-	if rt.rec != nil {
-		for _, d := range rt.rec.delegates {
-			sum += d.exec.Load() + d.drainedOps.Load()
-		}
+	sum := rt.rec.execSum()
+	for _, d := range rt.rec.delegates {
+		sum += d.drainedOps.Load()
 	}
 	return sum
 }
 
-// QueueDepths appends each delegate context's current backlog — method
-// invocations routed to it that have not finished executing — to dst and
-// returns the extended slice, one entry per delegate in context order.
-// Reads only published atomic counters, so it is safe from any goroutine
-// and allocation-free when dst has capacity: the serving tier samples it
-// on every metrics scrape. In recursive mode the per-delegate ledger only
-// exists under Stealing; without it the depths are reported as zero (the
-// engine tracks enqueue/execute sums globally, not per delegate).
+// QueueDepths appends each delegate context's current backlog — messages
+// routed to it, through any lane, that it has not finished executing
+// (the one running included) — to dst and returns the extended slice, one
+// entry per active delegate in context order. Reads only the published
+// lane ledger, so it is safe from any goroutine and allocation-free when
+// dst has capacity: a metrics scrape can sample it every time.
 func (rt *Runtime) QueueDepths(dst []uint64) []uint64 {
 	// Bound by the atomic active count, not capacity: reporting retired
-	// delegates would skew the serving tier's occupancy averages, and the
-	// atomic is the only pool-size read with a happens-before story for
-	// arbitrary goroutines.
-	n := int(rt.active.Load())
-	if rec := rt.rec; rec != nil {
-		for _, d := range rec.delegates[:n] {
-			if d.laneExec == nil {
-				dst = append(dst, 0)
-				continue
-			}
-			dst = append(dst, rt.recOccupancy(d.id))
-		}
-		return dst
-	}
-	for _, d := range rt.delegates[:n] {
-		dst = append(dst, uint64(d.queue.Len()))
+	// delegates would skew occupancy averages, and the atomic is the only
+	// pool-size read with a happens-before story for arbitrary goroutines.
+	for ctx := 1; ctx <= int(rt.active.Load()); ctx++ {
+		dst = append(dst, rt.recOccupancy(ctx))
 	}
 	return dst
 }
 
 // DumpSchedState renders the scheduler ledgers — the watchdog's wedge
 // report, exported so a draining server can attach the same dump to its
-// straggler log when a drain deadline expires. Program context only: the
-// flat-mode report reads the program-private sent counters.
-func (rt *Runtime) DumpSchedState() string { return rt.dumpSchedState() }
+// straggler log when a drain deadline expires. Empty in Sequential mode,
+// which has no delegate pool.
+func (rt *Runtime) DumpSchedState() string {
+	if rt.cfg.Sequential {
+		return ""
+	}
+	return rt.dumpSchedState()
+}
 
 // dumpSchedState renders the scheduler ledgers for the watchdog report:
-// per-delegate queue depths and executed counters in flat mode; the
-// enqueued/executed quiescence ledger, per-lane sent/exec positions, and
-// pending-lane bitmasks in recursive mode. Program context only (it reads
-// the program-private sent counters).
+// the pool-wide sent/executed sums, then per delegate its backlog, its
+// pending-lane bitmask, and the sent/exec positions of every lane that has
+// carried traffic.
 func (rt *Runtime) dumpSchedState() string {
 	var b strings.Builder
-	if rec := rt.rec; rec != nil {
-		fmt.Fprintf(&b, "recursive engine: enqueued=%d executed=%d\n", rec.enqSum(), rec.execSum())
-		for _, d := range rec.delegates {
-			fmt.Fprintf(&b, "  delegate %d: exec=%d pending=", d.id, d.exec.Load())
-			for w := len(d.pending) - 1; w >= 0; w-- {
-				fmt.Fprintf(&b, "%016x", d.pending[w].Load())
-			}
-			if st := rec.steal; st != nil {
-				b.WriteString(" lanes[p:sent/exec]:")
-				for p := range d.laneExec {
-					sent := st.laneSent[d.id-1][p].n.Load()
-					exec := d.laneExec[p].Load()
-					if sent != 0 || exec != 0 {
-						fmt.Fprintf(&b, " %d:%d/%d", p, sent, exec)
-					}
-				}
-			}
-			b.WriteByte('\n')
+	rec := rt.rec
+	fmt.Fprintf(&b, "lane engine: %d/%d delegates active, sent=%d executed=%d\n",
+		rt.active.Load(), len(rec.delegates), rec.sentSum(), rec.execSum())
+	for _, d := range rec.delegates {
+		fmt.Fprintf(&b, "  delegate %d: backlog=%d pending=", d.id, rt.recOccupancy(d.id))
+		for w := len(d.pending) - 1; w >= 0; w-- {
+			fmt.Fprintf(&b, "%016x", d.pending[w].Load())
 		}
-		return b.String()
-	}
-	fmt.Fprintf(&b, "flat engine: %d/%d delegates active\n", rt.cfg.Delegates, len(rt.delegates))
-	for i, d := range rt.delegates {
-		var sent uint64
-		if rt.sent != nil {
-			sent = rt.sent[i]
+		b.WriteString(" lanes[p:sent/exec]:")
+		for p := range d.laneExec {
+			sent := rec.laneSent[d.id-1][p].n.Load()
+			exec := d.laneExec[p].Load()
+			if sent != 0 || exec != 0 {
+				fmt.Fprintf(&b, " %d:%d/%d", p, sent, exec)
+			}
 		}
-		fmt.Fprintf(&b, "  delegate %d: queue=%d sent=%d executed=%d dirty=%v\n",
-			d.id, d.queue.Len(), sent, d.executed.Load(), rt.dirty[i])
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -205,8 +205,8 @@ func Fig6(w io.Writer, opts Options, maxDelegates int) error {
 //   - kmeans formulation: reduction (proposed fix) vs naive (measured in
 //     the paper);
 //   - occupancy-aware stealing: least-loaded with and without whole-set
-//     work stealing, with the runtime's delegation/batching/stealing
-//     counters surfaced (Steals, BatchFlushes, BatchedOps, DrainedOps).
+//     work stealing, with the runtime's stealing and drain counters
+//     surfaced (Steals, DrainBatches, DrainedOps).
 func Ablation(w io.Writer, opts Options) error {
 	apps, err := FilterApps(opts.Apps)
 	if err != nil {
@@ -273,8 +273,8 @@ func Ablation(w io.Writer, opts Options) error {
 	}
 
 	fmt.Fprintf(w, "\nA5. occupancy-aware work stealing (least-loaded, whole-set handoff)\n")
-	fmt.Fprintf(w, "%-14s %9s %9s %8s %8s %10s %8s %10s %10s %10s\n",
-		"program", "ll", "ll+steal", "steals", "thradj", "hotplaced", "flushes", "batched", "drains", "drained")
+	fmt.Fprintf(w, "%-14s %9s %9s %8s %8s %10s %10s %10s\n",
+		"program", "ll", "ll+steal", "steals", "thradj", "hotplaced", "drains", "drained")
 	for _, app := range apps {
 		inst := app.Load(opts.Size)
 		if inst.SSOpt == nil {
@@ -286,10 +286,10 @@ func Ablation(w io.Writer, opts Options) error {
 		steal := TimeBest(opts.Reps, func() {
 			st = inst.SSOpt(delegates, opts.stealOpts()...)
 		})
-		fmt.Fprintf(w, "%-14s %9.1f %9.1f %8d %8d %10d %8d %10d %10d %10d\n",
+		fmt.Fprintf(w, "%-14s %9.1f %9.1f %8d %8d %10d %10d %10d\n",
 			app.Name, Speedup(seq, ll), Speedup(seq, steal),
 			st.Steals, st.ThresholdAdjusts, st.HotSetsPlaced,
-			st.BatchFlushes, st.BatchedOps, st.DrainBatches, st.DrainedOps)
+			st.DrainBatches, st.DrainedOps)
 	}
 
 	fmt.Fprintf(w, "\nA6. recursive whole-set stealing (quiescent multi-producer handoff)\n")

@@ -6,11 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// Lane is the SPSC queue variant behind recursive delegation: a bounded
-// lap-stamped value ring (same slot machinery as Queue) backed by an
-// unbounded linked-list spill that absorbs overflow, so the producer-side
-// Push NEVER blocks. Recursive mode needs that property for deadlock
-// freedom: a delegate may delegate to a set it itself owns — or to a peer
+// Lane is the runtime's SPSC queue: a bounded lap-stamped value ring
+// backed by an unbounded linked-list spill that absorbs overflow, so the
+// producer-side Push NEVER blocks. Recursive delegation needs that property
+// for deadlock freedom: a delegate may delegate to a set it itself owns — or to a peer
 // that is simultaneously delegating back — and a bounded queue's blocking
 // push could then wait on a lane only the blocked context (or a blocked
 // cycle of contexts) could drain. In steady state the ring absorbs all
@@ -24,7 +23,8 @@ import (
 // the entire spill list — only then may the ring be used again. The
 // consumer always drains ring before spill, which is correct because the
 // resume rule makes "ring values present are older than spill values
-// present" an invariant.
+// present" an invariant — provided the consumer looks at the ring again
+// after it sees a spill node (see PopBatch).
 //
 // PushBlocking is the complementary producer call for contexts that are
 // never part of a delegation cycle (the program context, which no delegate
@@ -35,12 +35,12 @@ import (
 // uses exactly one style per lane (program lanes block, delegate lanes
 // spill), so the case never arises.
 //
-// Unlike Queue, a Lane publishes no pushed/popped counters and performs no
-// consumer-side wake signaling: readiness tracking and consumer parking
-// belong to the recursive delegate's pending-lane bitmask (one word for
-// all lanes, maintained by the runtime), which replaces per-lane O(lanes)
-// polling with an O(1) check. The lane only keeps the producer-side park
-// machinery that PushBlocking needs.
+// A Lane publishes no pushed/popped counters and performs no consumer-side
+// wake signaling: readiness tracking and consumer parking belong to the
+// delegate's pending-lane bitmask (one word for all lanes, maintained by
+// the runtime), which replaces per-lane O(lanes) polling with an O(1)
+// check, and backlogs come from the runtime's lane ledger. The lane only
+// keeps the producer-side park machinery that PushBlocking needs.
 //
 // Spill nodes are recycled: the consumer hands each consumed node back
 // through a small per-lane SPSC freelist ring (nil/non-nil pointer slots
@@ -93,7 +93,7 @@ type Lane[T any] struct {
 }
 
 // freelistSize is the per-lane spill-node freelist capacity. 64 node
-// pointers (512B) covers the spill bursts the recursive engine produces in
+// pointers (512B) covers the spill bursts recursive delegation produces in
 // practice — a burst deeper than the freelist falls back to the shared
 // NodePool, and only with no pool attached does it reach the allocator.
 const freelistSize = 64
@@ -124,8 +124,8 @@ func (np *NodePool[T]) put(n *unode[T]) {
 }
 
 // NewLane returns a lane with ring capacity rounded up to a power of two
-// (DefaultCapacity when non-positive). Like NewQueue, construction is O(1)
-// in touched memory: the zero-valued slots mean "free for lap 0".
+// (DefaultCapacity when non-positive). Construction is O(1) in touched
+// memory: the zero-valued slots mean "free for lap 0".
 func NewLane[T any](capacity int) *Lane[T] {
 	return NewLanePooled[T](capacity, nil)
 }
@@ -281,28 +281,11 @@ func (l *Lane[T]) PushBlocking(v T) {
 // false when the lane is empty. Ring before spill — see the type comment
 // for why that order is FIFO. Consumer method.
 func (l *Lane[T]) TryPop() (T, bool) {
-	var zero T
-	s := &l.slots[l.head&l.mask]
-	if s.seq.Load() == l.fullStamp(l.head) {
-		v := s.val
-		s.val = zero // drop references for GC
-		s.seq.Store(l.freeStamp(l.head + uint64(len(l.slots))))
-		l.head++
-		l.signalProducer()
-		return v, true
+	var v [1]T
+	if l.PopBatch(v[:]) == 0 {
+		return v[0], false
 	}
-	if next := l.spillHead.next.Load(); next != nil {
-		v := next.val
-		next.val = zero
-		old := l.spillHead
-		l.spillHead = next
-		l.spillPopped.Store(l.spillPopped.Load() + 1) // single writer
-		// The old stub is unreachable now (the producer's tail is at or
-		// past next): recycle it for a future spill.
-		l.putNode(old)
-		return v, true
-	}
-	return zero, false
+	return v[0], true
 }
 
 // PopBatch removes up to len(dst) values into dst without blocking and
@@ -310,30 +293,39 @@ func (l *Lane[T]) TryPop() (T, bool) {
 // they are read (there is no external Len reader to keep consistent, and a
 // parked PushBlocking producer should resume as soon as possible); the
 // spill-popped counter is published once per run. Consumer method.
+//
+// A spilled value is taken only after the ring is seen empty AGAIN, once
+// the spill node is visible: the producer writes every ring value older
+// than a spilled one before it links that spill node, so a ring slot
+// still empty after the node's load proves the ring holds nothing older,
+// while a ring check made only before that load can race those writes
+// and hand the spilled value out first.
 func (l *Lane[T]) PopBatch(dst []T) int {
 	var zero T
-	n := 0
+	n, m := 0, 0
 	for n < len(dst) {
 		s := &l.slots[l.head&l.mask]
-		if s.seq.Load() != l.fullStamp(l.head) {
-			break
+		if s.seq.Load() == l.fullStamp(l.head) {
+			dst[n] = s.val
+			s.val = zero // drop references for GC before the slot is freed
+			s.seq.Store(l.freeStamp(l.head + uint64(len(l.slots))))
+			l.head++
+			n++
+			continue
 		}
-		dst[n] = s.val
-		s.val = zero // drop references for GC before the slot is freed
-		s.seq.Store(l.freeStamp(l.head + uint64(len(l.slots))))
-		l.head++
-		n++
-	}
-	m := 0
-	for n < len(dst) {
 		next := l.spillHead.next.Load()
 		if next == nil {
 			break
+		}
+		if s.seq.Load() == l.fullStamp(l.head) {
+			continue // an older ring value landed after the first check
 		}
 		dst[n] = next.val
 		next.val = zero
 		old := l.spillHead
 		l.spillHead = next
+		// The old stub is unreachable now (the producer's tail is at or
+		// past next): recycle it for a future spill.
 		l.putNode(old)
 		n++
 		m++

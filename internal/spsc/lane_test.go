@@ -1,6 +1,7 @@
 package spsc
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
@@ -149,6 +150,43 @@ func TestLaneConcurrentSpill(t *testing.T) {
 	}
 	if !l.Empty() {
 		t.Fatal("lane not empty after consuming all values")
+	}
+}
+
+// TestLaneSpillRaceFIFO: a nonblocking producer racing a PopBatch consumer
+// that never backs off, on tiny rings sharing one node pool — the shape of
+// a delegate feeding a busy peer. The consumer may look at the ring just
+// before the producer's last ring writes land and at the spill list just
+// after the next value spills; it must still hand the ring values out
+// first.
+func TestLaneSpillRaceFIFO(t *testing.T) {
+	pool := NewNodePool[int]()
+	for iter := 0; iter < 100; iter++ {
+		lanes := []*Lane[int]{NewLanePooled[int](4, pool), NewLanePooled[int](4, pool)}
+		const n = 3000
+		go func() {
+			for i := 0; i < n; i++ {
+				for _, l := range lanes {
+					l.Push(i)
+				}
+				if i%97 == 0 {
+					runtime.Gosched()
+				}
+			}
+		}()
+		buf := make([]int, 64)
+		next := make([]int, len(lanes))
+		for next[0] < n || next[1] < n {
+			for li, l := range lanes {
+				k := l.PopBatch(buf)
+				for j := 0; j < k; j++ {
+					if buf[j] != next[li] {
+						t.Fatalf("iter %d lane %d: popped %d, want %d", iter, li, buf[j], next[li])
+					}
+					next[li]++
+				}
+			}
+		}
 	}
 }
 

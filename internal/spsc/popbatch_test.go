@@ -1,20 +1,25 @@
 package spsc
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 )
 
+// Batched-drain properties of Lane.PopBatch: dst bounds, interleaving with
+// single pops, slot freeing, reference dropping, producer wake-up, a
+// concurrent stress, and a fuzzer over the ring and spill boundaries.
+
 func TestPopBatchBasic(t *testing.T) {
-	q := NewQueue[int](8)
+	l := NewLane[int](8)
 	buf := make([]int, 4)
-	if n := q.PopBatch(buf); n != 0 {
-		t.Fatalf("PopBatch on empty queue = %d, want 0", n)
+	if n := l.PopBatch(buf); n != 0 {
+		t.Fatalf("PopBatch on empty lane = %d, want 0", n)
 	}
-	q.PushBatch([]int{0, 1, 2, 3, 4, 5})
-	if n := q.PopBatch(buf); n != 4 {
+	for i := 0; i < 6; i++ {
+		l.Push(i)
+	}
+	if n := l.PopBatch(buf); n != 4 {
 		t.Fatalf("PopBatch = %d, want 4 (dst-bounded)", n)
 	}
 	for i, v := range buf {
@@ -22,40 +27,38 @@ func TestPopBatchBasic(t *testing.T) {
 			t.Fatalf("buf[%d] = %d, want %d", i, v, i)
 		}
 	}
-	if got := q.Len(); got != 2 {
-		t.Fatalf("Len after batch pop = %d, want 2", got)
-	}
-	if n := q.PopBatch(buf); n != 2 || buf[0] != 4 || buf[1] != 5 {
+	if n := l.PopBatch(buf); n != 2 || buf[0] != 4 || buf[1] != 5 {
 		t.Fatalf("PopBatch tail = %d (%v), want 2 (4 5 _)", n, buf)
 	}
-	if !q.Empty() {
-		t.Fatal("queue should be empty after draining")
+	if !l.Empty() {
+		t.Fatal("lane should be empty after draining")
 	}
-	if n := q.PopBatch(nil); n != 0 {
+	if n := l.PopBatch(nil); n != 0 {
 		t.Fatalf("PopBatch(nil) = %d, want 0", n)
 	}
 }
 
 func TestPopBatchInterleavedWithSinglePops(t *testing.T) {
-	// Mixed single/batched pops must preserve FIFO across wraparound.
-	q := NewQueue[int](8)
+	// Mixed single/batched pops must preserve FIFO across wraparound and
+	// across the ring/spill boundary (pushes outrun pops, so the lane
+	// enters and leaves spill mode repeatedly).
+	l := NewLane[int](8)
 	buf := make([]int, 3)
 	next, pushed := 0, 0
 	for round := 0; round < 200; round++ {
-		for i := 0; i < 5; i++ {
-			if q.TryPush(pushed) {
-				pushed++
-			}
+		for i := 0; i < 2+round%4; i++ {
+			l.Push(pushed)
+			pushed++
 		}
 		if round%2 == 0 {
-			n := q.PopBatch(buf)
+			n := l.PopBatch(buf)
 			for i := 0; i < n; i++ {
 				if buf[i] != next {
 					t.Fatalf("round %d: batch pop = %d, want %d", round, buf[i], next)
 				}
 				next++
 			}
-		} else if v, ok := q.TryPop(); ok {
+		} else if v, ok := l.TryPop(); ok {
 			if v != next {
 				t.Fatalf("round %d: single pop = %d, want %d", round, v, next)
 			}
@@ -63,7 +66,7 @@ func TestPopBatchInterleavedWithSinglePops(t *testing.T) {
 		}
 	}
 	for {
-		v, ok := q.TryPop()
+		v, ok := l.TryPop()
 		if !ok {
 			break
 		}
@@ -75,81 +78,91 @@ func TestPopBatchInterleavedWithSinglePops(t *testing.T) {
 	if next != pushed {
 		t.Fatalf("popped %d items, pushed %d", next, pushed)
 	}
+	if l.Spills() == 0 {
+		t.Fatal("test never exercised the spill tier")
+	}
 }
 
 func TestPopBatchFreesSlotsForProducer(t *testing.T) {
 	// A full ring drained by PopBatch must become writable again — the batch
-	// pop publishes its progress and re-stamps every slot free.
-	q := NewQueue[int](4)
+	// pop re-stamps every slot free.
+	l := NewLane[int](4)
 	for i := 0; i < 4; i++ {
-		q.Push(i)
-	}
-	if q.TryPush(99) {
-		t.Fatal("full queue accepted a push")
+		l.Push(i)
 	}
 	buf := make([]int, 4)
-	if n := q.PopBatch(buf); n != 4 {
+	if n := l.PopBatch(buf); n != 4 {
 		t.Fatalf("PopBatch = %d, want 4", n)
 	}
 	for i := 0; i < 4; i++ {
-		if !q.TryPush(10 + i) {
-			t.Fatalf("push %d rejected after batch drain", i)
+		if l.Push(10 + i) {
+			t.Fatalf("push %d spilled after the batch drain freed the ring", i)
 		}
 	}
-	if n := q.PopBatch(buf); n != 4 || buf[0] != 10 {
+	if n := l.PopBatch(buf); n != 4 || buf[0] != 10 {
 		t.Fatalf("second drain = %d (%v), want 4 starting at 10", n, buf)
 	}
 }
 
 func TestPopBatchDropsReferences(t *testing.T) {
-	// Popped slots must not pin payloads: the ring zeroes each slot before
-	// freeing it (same contract as TryPop).
-	q := NewQueue[*int](4)
-	v := new(int)
-	q.Push(v)
+	// Popped values must not pin payloads: the ring zeroes each slot before
+	// freeing it, and a consumed spill node is zeroed before it is recycled.
+	l := NewLane[*int](1)
+	v, w := new(int), new(int)
+	l.Push(v)
+	l.Push(w) // spills
 	buf := make([]*int, 4)
-	if n := q.PopBatch(buf); n != 1 || buf[0] != v {
-		t.Fatalf("PopBatch = %d, want the pushed pointer", n)
+	if n := l.PopBatch(buf); n != 2 || buf[0] != v || buf[1] != w {
+		t.Fatalf("PopBatch = %d, want the two pushed pointers", n)
 	}
-	for i := range q.slots {
-		if q.slots[i].val != nil {
+	for i := range l.slots {
+		if l.slots[i].val != nil {
 			t.Fatalf("slot %d still holds a reference after PopBatch", i)
+		}
+	}
+	if l.spillHead.val != nil {
+		t.Fatal("spill stub still holds a reference after PopBatch")
+	}
+	for i := range l.free {
+		if n := l.free[i].Load(); n != nil && n.val != nil {
+			t.Fatalf("recycled spill node %d still holds a reference", i)
 		}
 	}
 }
 
 func TestPopBatchWakesParkedProducer(t *testing.T) {
-	// A producer parked on a full ring must be woken by the single
+	// A blocking producer parked on a full ring must be woken by the single
 	// end-of-batch producer signal.
-	q := NewQueue[int](4)
+	l := NewLane[int](4)
 	for i := 0; i < 4; i++ {
-		q.Push(i)
+		l.PushBlocking(i)
 	}
 	pushed := make(chan struct{})
 	go func() {
-		q.Push(4) // full: spins out and parks
+		l.PushBlocking(4) // full: spins out and parks
 		close(pushed)
 	}()
-	for q.producerSleep.Load() != sleeping {
+	for l.producerSleep.Load() != sleeping {
 		runtime.Gosched()
 	}
 	buf := make([]int, 4)
-	if n := q.PopBatch(buf); n != 4 {
+	if n := l.PopBatch(buf); n != 4 {
 		t.Fatalf("PopBatch = %d, want 4", n)
 	}
 	<-pushed
-	if v, ok := q.TryPop(); !ok || v != 4 {
+	if v, ok := l.TryPop(); !ok || v != 4 {
 		t.Fatalf("pop after wake = %v, %v, want 4", v, ok)
 	}
 }
 
-// TestBatchRaceStress interleaves a PushBatch producer with a PopBatch
-// consumer while an observer hammers the O(1) Len — the access pattern of the
-// runtime's batched delegation plus batched drain plus the occupancy-aware
-// scheduler polling queue depths. Run under `go test -race`.
+// TestBatchRaceStress interleaves a blocking producer with a PopBatch
+// consumer on a small ring while an observer reads the spill statistic —
+// the access pattern of the runtime's program lane: the program context
+// pushes with backpressure, the delegate drains in runs. Run under
+// `go test -race`.
 func TestBatchRaceStress(t *testing.T) {
 	const n = 30000
-	q := NewQueue[int](16)
+	l := NewLane[int](16)
 	stop := make(chan struct{})
 	var obs sync.WaitGroup
 	obs.Add(1)
@@ -161,64 +174,44 @@ func TestBatchRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			if l := q.Len(); l < 0 || l > q.Cap() {
-				t.Errorf("Len out of range: %d", l)
+			if s := l.Spills(); s != 0 {
+				t.Errorf("blocking producer spilled: %d", s)
 				return
 			}
 			runtime.Gosched() // don't starve the transfer on GOMAXPROCS=1
 		}
 	}()
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		buf := make([]int, 0, 7)
-		i := 0
-		for i < n {
-			buf = buf[:0]
-			for j := 0; j < 1+i%7 && i < n; j++ {
-				buf = append(buf, i)
-				i++
-			}
-			q.PushBatch(buf)
+		for i := 0; i < n; i++ {
+			l.PushBlocking(i)
 		}
-		q.Close()
 	}()
 	buf := make([]int, 5)
 	next := 0
-	for {
-		k := q.PopBatch(buf)
+	for next < n {
+		k := l.PopBatch(buf)
+		if k == 0 {
+			runtime.Gosched()
+			continue
+		}
 		for i := 0; i < k; i++ {
 			if buf[i] != next {
 				t.Fatalf("out of order: got %d, want %d", buf[i], next)
 			}
 			next++
 		}
-		if k == 0 {
-			// Blocking fallback so the test terminates: one value per wake,
-			// exactly how the runtime's drain loop alternates Pop/PopBatch.
-			v, ok := q.Pop()
-			if !ok {
-				break
-			}
-			if v != next {
-				t.Fatalf("out of order: got %d, want %d", v, next)
-			}
-			next++
-		}
 	}
-	wg.Wait()
 	close(stop)
 	obs.Wait()
-	if next != n {
-		t.Fatalf("received %d items, want %d", next, n)
-	}
 }
 
-// FuzzBatchBoundaries fuzzes PushBatch/PopBatch around the ring's boundary
-// sizes — empty, single, cap-1, cap, cap+1 — against a slice model. The seed
-// corpus enumerates exactly those batch sizes for small capacities; the
-// fuzzer then explores arbitrary (capacity, batch size, op count) mixes.
+// FuzzBatchBoundaries fuzzes runs of Push against PopBatch around the
+// lane's boundary sizes — empty, single, cap-1, cap, cap+1 — against a
+// slice model. Runs longer than the free ring space overflow into the
+// spill tier, so the fuzzer crosses the ring/spill boundary in both
+// directions. The seed corpus enumerates exactly those run sizes for small
+// capacities; the fuzzer then explores arbitrary (capacity, push run, pop
+// run, rounds) mixes.
 func FuzzBatchBoundaries(f *testing.F) {
 	for _, cap := range []uint8{1, 2, 4, 8} {
 		for _, batch := range []int{0, 1, int(cap) - 1, int(cap), int(cap) + 1} {
@@ -232,29 +225,23 @@ func FuzzBatchBoundaries(f *testing.F) {
 		capacity := int(capRaw%16) + 1
 		pushN := int(pushRaw % 33)
 		popN := int(popRaw % 33)
-		q := NewQueue[uint16](capacity)
+		l := NewLane[uint16](capacity)
 		var model []uint16
+		spilled := 0 // values the model says went to the spill tier
 		next := uint16(0)
 		popBuf := make([]uint16, popN)
-		pushBuf := make([]uint16, 0, pushN)
 		for r := 0; r < int(rounds%64); r++ {
-			// Push up to pushN values, but only as many as the ring can take:
-			// PushBatch blocks on a full ring and there is no concurrent
-			// consumer here.
-			pushBuf = pushBuf[:0]
-			room := q.Cap() - len(model)
-			for j := 0; j < pushN && j < room; j++ {
-				pushBuf = append(pushBuf, next)
+			for j := 0; j < pushN; j++ {
+				if l.Push(next) {
+					spilled++
+				}
+				model = append(model, next)
 				next++
 			}
-			if len(pushBuf) > 0 {
-				q.PushBatch(pushBuf)
-				model = append(model, pushBuf...)
+			if got := l.Spills(); got != uint64(spilled) {
+				t.Fatalf("round %d: Spills = %d, model %d", r, got, spilled)
 			}
-			if got := q.Len(); got != len(model) {
-				t.Fatalf("round %d: Len = %d, model %d", r, got, len(model))
-			}
-			n := q.PopBatch(popBuf)
+			n := l.PopBatch(popBuf)
 			want := popN
 			if len(model) < want {
 				want = len(model)
@@ -271,47 +258,14 @@ func FuzzBatchBoundaries(f *testing.F) {
 		}
 		// Drain and verify the tail.
 		for len(model) > 0 {
-			v, ok := q.TryPop()
+			v, ok := l.TryPop()
 			if !ok || v != model[0] {
 				t.Fatalf("drain: pop = %v, %v, want %d", v, ok, model[0])
 			}
 			model = model[1:]
 		}
-		if !q.Empty() {
-			t.Fatal("queue not empty after drain")
+		if !l.Empty() {
+			t.Fatal("lane not empty after drain")
 		}
 	})
-}
-
-// BenchmarkSPSCPopBatch measures the consumer-side mirror of the push
-// batching: draining invocation-sized records one at a time vs in runs.
-func BenchmarkSPSCPopBatch(b *testing.B) {
-	type invRecord struct {
-		kind uint8
-		set  uint64
-		a, b uintptr
-		fn   func(int)
-		done chan struct{}
-	}
-	for _, batch := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("pop-batch-%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			q := NewQueue[invRecord](1024)
-			fill := make([]invRecord, 512)
-			buf := make([]invRecord, batch)
-			b.ResetTimer()
-			popped := 0
-			for popped < b.N {
-				q.PushBatch(fill)
-				for q.Len() > 0 {
-					if batch == 1 {
-						q.TryPop()
-						popped++
-					} else {
-						popped += q.PopBatch(buf)
-					}
-				}
-			}
-		})
-	}
 }

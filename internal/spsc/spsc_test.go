@@ -1,24 +1,27 @@
 package spsc
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 )
 
+// Ring-level properties of the lane's slot machinery: single values,
+// capacity rounding, the full-ring boundary, capacity 1, zero values,
+// wraparound, and concurrent FIFO.
+
 func TestPushPopSingle(t *testing.T) {
-	q := NewQueue[int](4)
-	if !q.TryPush(42) {
-		t.Fatal("TryPush failed on empty queue")
+	l := NewLane[int](4)
+	if spilled := l.Push(42); spilled {
+		t.Fatal("Push spilled on an empty lane")
 	}
-	got, ok := q.TryPop()
+	got, ok := l.TryPop()
 	if !ok || got != 42 {
 		t.Fatalf("TryPop = %v, %v, want 42", got, ok)
 	}
-	if _, ok := q.TryPop(); ok {
-		t.Fatal("TryPop on empty queue should report !ok")
+	if _, ok := l.TryPop(); ok {
+		t.Fatal("TryPop on an empty lane should report !ok")
 	}
 }
 
@@ -26,75 +29,90 @@ func TestCapacityRoundsUp(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultCapacity}, {-1, DefaultCapacity}, {1, 1}, {3, 4}, {4, 4}, {1000, 1024},
 	} {
-		if got := NewQueue[int](tc.in).Cap(); got != tc.want {
-			t.Errorf("NewQueue(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := NewLane[int](tc.in).Cap(); got != tc.want {
+			t.Errorf("NewLane(%d).Cap() = %d, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
+// TestFullQueueRejectsTryPush: a full ring takes no further ring writes —
+// the next Push spills — and once the consumer has drained the spill the
+// producer is back on the ring.
 func TestFullQueueRejectsTryPush(t *testing.T) {
-	q := NewQueue[int](2)
-	if !q.TryPush(1) || !q.TryPush(2) {
-		t.Fatal("queue of capacity 2 should accept 2 items")
+	l := NewLane[int](2)
+	if l.Push(1) || l.Push(2) {
+		t.Fatal("lane of capacity 2 should take 2 values in the ring")
 	}
-	if q.TryPush(3) {
-		t.Fatal("full queue should reject TryPush")
+	if !l.Push(3) {
+		t.Fatal("full ring took a third value without spilling")
 	}
-	if got, ok := q.TryPop(); !ok || got != 1 {
-		t.Fatalf("FIFO violated: got %v, %v, want 1", got, ok)
+	for want := 1; want <= 3; want++ {
+		if got, ok := l.TryPop(); !ok || got != want {
+			t.Fatalf("FIFO violated: got %v, %v, want %d", got, ok, want)
+		}
 	}
-	if !q.TryPush(3) {
-		t.Fatal("queue should accept after a pop")
+	if l.Push(4) {
+		t.Fatal("lane should return to the ring once the spill is drained")
 	}
 }
 
 func TestCapacityOne(t *testing.T) {
 	// The odd/even lap-stamp encoding keeps capacity 1 unambiguous: a
 	// written slot (odd stamp) can never look free (even stamp).
-	q := NewQueue[int](1)
+	l := NewLane[int](1)
 	for lap := 0; lap < 10; lap++ {
-		if !q.TryPush(lap) {
-			t.Fatalf("lap %d: push failed on empty cap-1 queue", lap)
+		if l.Push(lap) {
+			t.Fatalf("lap %d: push spilled on an empty cap-1 lane", lap)
 		}
-		if q.TryPush(99) {
-			t.Fatalf("lap %d: full cap-1 queue accepted a push", lap)
+		if !l.Push(99) {
+			t.Fatalf("lap %d: full cap-1 ring took a second value", lap)
 		}
-		got, ok := q.TryPop()
-		if !ok || got != lap {
+		if got, ok := l.TryPop(); !ok || got != lap {
 			t.Fatalf("lap %d: pop = %v, %v", lap, got, ok)
+		}
+		if got, ok := l.TryPop(); !ok || got != 99 {
+			t.Fatalf("lap %d: spilled pop = %v, %v", lap, got, ok)
+		}
+	}
+	// The blocking producer never spills: lap after lap through one slot.
+	for lap := 0; lap < 10; lap++ {
+		l.PushBlocking(lap)
+		if got, ok := l.TryPop(); !ok || got != lap {
+			t.Fatalf("blocking lap %d: pop = %v, %v", lap, got, ok)
 		}
 	}
 }
 
 func TestZeroValuesAreLegal(t *testing.T) {
 	// The value ring has no nil-as-empty restriction: zero values (and nil
-	// pointers) are ordinary payloads.
-	q := NewQueue[*int](2)
-	if !q.TryPush(nil) {
-		t.Fatal("TryPush(nil) should succeed on a value ring")
+	// pointers) are ordinary payloads, in the ring and in the spill tier.
+	l := NewLane[*int](1)
+	l.Push(nil)
+	l.Push(nil) // spills
+	for i := 0; i < 2; i++ {
+		if got, ok := l.TryPop(); !ok || got != nil {
+			t.Fatalf("pop %d = %v, %v, want nil, true", i, got, ok)
+		}
 	}
-	got, ok := q.TryPop()
-	if !ok || got != nil {
-		t.Fatalf("TryPop = %v, %v, want nil, true", got, ok)
-	}
-	qi := NewQueue[int](2)
-	qi.Push(0)
-	if v, ok := qi.TryPop(); !ok || v != 0 {
+	li := NewLane[int](2)
+	li.PushBlocking(0)
+	if v, ok := li.TryPop(); !ok || v != 0 {
 		t.Fatalf("zero int round-trip = %v, %v", v, ok)
 	}
 }
 
 func TestWraparound(t *testing.T) {
-	q := NewQueue[int](4)
+	// Partial fills walk the cursors around the ring at every offset.
+	l := NewLane[int](4)
 	for round := 0; round < 100; round++ {
 		vals := []int{round * 3, round*3 + 1, round*3 + 2}
 		for i := range vals {
-			if !q.TryPush(vals[i]) {
-				t.Fatalf("round %d: push %d failed", round, i)
+			if l.Push(vals[i]) {
+				t.Fatalf("round %d: push %d spilled with free slots", round, i)
 			}
 		}
 		for i := range vals {
-			got, ok := q.TryPop()
+			got, ok := l.TryPop()
 			if !ok || got != vals[i] {
 				t.Fatalf("round %d: pop %d = %v, want %d", round, i, got, vals[i])
 			}
@@ -102,222 +120,45 @@ func TestWraparound(t *testing.T) {
 	}
 }
 
-func TestCloseDrains(t *testing.T) {
-	q := NewQueue[int](8)
-	q.Push(1)
-	q.Push(2)
-	q.Close()
-	if got, ok := q.Pop(); !ok || got != 1 {
-		t.Fatalf("Pop after close = %v, %v, want 1", got, ok)
-	}
-	if got, ok := q.Pop(); !ok || got != 2 {
-		t.Fatalf("Pop after close = %v, %v, want 2", got, ok)
-	}
-	if got, ok := q.Pop(); ok {
-		t.Fatalf("Pop on drained closed queue = %v, want !ok", got)
-	}
-}
-
-func TestLenAndEmpty(t *testing.T) {
-	q := NewQueue[int](8)
-	if !q.Empty() || q.Len() != 0 {
-		t.Fatal("new queue should be empty")
-	}
-	for _, v := range []int{1, 2, 3} {
-		q.Push(v)
-	}
-	if q.Empty() || q.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", q.Len())
-	}
-	q.TryPop()
-	if q.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", q.Len())
-	}
-}
-
-// TestLenExactFromEachSide verifies the O(1) counter-based Len is exact when
-// observed from the quiescent side: after every producer push (consumer
-// idle) and after every consumer pop (producer idle), across wraparound.
-func TestLenExactFromEachSide(t *testing.T) {
-	q := NewQueue[int](4)
-	for lap := 0; lap < 3; lap++ {
-		for i := 0; i < 4; i++ {
-			q.Push(i)
-			if got := q.Len(); got != i+1 {
-				t.Fatalf("lap %d: Len after %d pushes = %d", lap, i+1, got)
-			}
-		}
-		for i := 0; i < 4; i++ {
-			if _, ok := q.TryPop(); !ok {
-				t.Fatalf("lap %d: pop %d failed", lap, i)
-			}
-			if got := q.Len(); got != 3-i {
-				t.Fatalf("lap %d: Len after %d pops = %d", lap, i+1, got)
-			}
-		}
-	}
-}
-
-// TestPushBatch covers batch insertion: FIFO order across batch boundaries,
-// wraparound, and Len published once per batch.
-func TestPushBatch(t *testing.T) {
-	q := NewQueue[int](8)
-	q.PushBatch([]int{0, 1, 2})
-	if got := q.Len(); got != 3 {
-		t.Fatalf("Len after batch = %d, want 3", got)
-	}
-	q.PushBatch([]int{3, 4})
-	for want := 0; want < 5; want++ {
-		got, ok := q.TryPop()
-		if !ok || got != want {
-			t.Fatalf("pop = %v, %v, want %d", got, ok, want)
-		}
-	}
-	// Wraparound: cycle batches through a small ring many times.
-	next := 0
-	for round := 0; round < 50; round++ {
-		q.PushBatch([]int{next, next + 1, next + 2})
-		for i := 0; i < 3; i++ {
-			got, ok := q.TryPop()
-			if !ok || got != next {
-				t.Fatalf("round %d: pop = %v, %v, want %d", round, got, ok, next)
-			}
-			next++
-		}
-	}
-	if !q.Empty() {
-		t.Fatal("queue should be empty after balanced batches")
-	}
-}
-
-// TestPushBatchLargerThanCapacity exercises the blocking fallback: a batch
-// bigger than the ring must still deliver every value in order while a
-// consumer drains concurrently, parking and waking both sides.
-func TestPushBatchLargerThanCapacity(t *testing.T) {
-	const batch = 64
-	const n = batch * 800
-	q := NewQueue[int](8) // far smaller than the batch: forces the full path
-	done := make(chan error, 1)
-	go func() {
-		next := 0
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				break
-			}
-			if v != next {
-				done <- fmt.Errorf("out of order: got %d, want %d", v, next)
-				return
-			}
-			next++
-		}
-		if next != n {
-			done <- fmt.Errorf("received %d items, want %d", next, n)
-			return
-		}
-		done <- nil
-	}()
-	buf := make([]int, batch)
-	for i := 0; i < n; i += batch {
-		for j := range buf {
-			buf[j] = i + j
-		}
-		q.PushBatch(buf)
-	}
-	q.Close()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestBatchWakesParkedConsumer pins the park/wake protocol under batching: a
-// consumer parked on an empty queue must be woken by the single end-of-batch
-// signal.
-func TestBatchWakesParkedConsumer(t *testing.T) {
-	q := NewQueue[int](64)
-	got := make(chan int)
-	go func() {
-		// Park: nothing is in the queue yet.
-		v, _ := q.Pop()
-		got <- v
-	}()
-	// Wait for the consumer to spin out and park, then batch.
-	for q.consumerSleep.Load() != sleeping {
-		runtime.Gosched()
-	}
-	q.PushBatch([]int{41, 42})
-	if v := <-got; v != 41 {
-		t.Fatalf("parked consumer woke with %d, want 41", v)
-	}
-	q.Close()
-}
-
 // TestFIFOOrderConcurrent is the core correctness property: with one
-// producer and one consumer running concurrently, every item arrives exactly
-// once and in order.
+// blocking producer and one consumer running concurrently, every item
+// arrives exactly once and in order.
 func TestFIFOOrderConcurrent(t *testing.T) {
 	const n = 200000
-	q := NewQueue[int](64)
+	l := NewLane[int](64)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			q.Push(i)
+			l.PushBlocking(i)
 		}
-		q.Close()
 	}()
 	next := 0
-	for {
-		v, ok := q.Pop()
+	for next < n {
+		v, ok := l.TryPop()
 		if !ok {
-			break
+			runtime.Gosched()
+			continue
 		}
 		if v != next {
 			t.Fatalf("out of order: got %d, want %d", v, next)
 		}
 		next++
 	}
-	if next != n {
-		t.Fatalf("received %d items, want %d", next, n)
-	}
 	wg.Wait()
-}
-
-// TestBlockingPushWakesParkedConsumer exercises the park/wake protocol with a
-// tiny queue so both sides park repeatedly.
-func TestBlockingPushWakesParkedConsumer(t *testing.T) {
-	const n = 50000
-	q := NewQueue[int](1)
-	done := make(chan int)
-	go func() {
-		sum := 0
-		for {
-			v, ok := q.Pop()
-			if !ok {
-				break
-			}
-			sum += v
-		}
-		done <- sum
-	}()
-	want := 0
-	for i := 0; i < n; i++ {
-		want += i
-		q.Push(i)
-	}
-	q.Close()
-	if got := <-done; got != want {
-		t.Fatalf("sum = %d, want %d", got, want)
+	if l.Spills() != 0 {
+		t.Fatalf("blocking producer spilled %d values", l.Spills())
 	}
 }
 
-// TestRaceStress drives a mixed Push/PushBatch producer against a Pop
-// consumer while a third goroutine hammers Len/Empty, so the race detector
-// can check every shared access pattern the runtime uses (`go test -race`).
+// TestRaceStress drives a nonblocking producer (ring and spill tier) against
+// a mixed TryPop/PopBatch consumer while a third goroutine reads the spill
+// statistic, so the race detector can check every shared access pattern
+// the runtime uses (`go test -race`).
 func TestRaceStress(t *testing.T) {
 	const n = 20000
-	q := NewQueue[int](16)
+	l := NewLane[int](16)
 	stop := make(chan struct{})
 	var obs sync.WaitGroup
 	obs.Add(1)
@@ -329,81 +170,84 @@ func TestRaceStress(t *testing.T) {
 				return
 			default:
 			}
-			if l := q.Len(); l < 0 || l > q.Cap() {
-				t.Errorf("Len out of range: %d", l)
+			if s := l.Spills(); s > n {
+				t.Errorf("Spills out of range: %d", s)
 				return
 			}
-			q.Empty()
 			runtime.Gosched() // don't starve the transfer on GOMAXPROCS=1
 		}
 	}()
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		buf := make([]int, 0, 8)
-		i := 0
-		for i < n {
-			if i%3 == 0 {
-				buf = buf[:0]
-				for j := 0; j < 5 && i < n; j++ {
-					buf = append(buf, i)
-					i++
-				}
-				q.PushBatch(buf)
-			} else {
-				q.Push(i)
-				i++
+		for i := 0; i < n; i++ {
+			l.Push(i)
+			if i%64 == 0 {
+				runtime.Gosched() // let the consumer catch up and the ring resume
 			}
 		}
-		q.Close()
 	}()
+	buf := make([]int, 5)
 	next := 0
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			break
+	for next < n {
+		k := 0
+		if next%2 == 0 {
+			k = l.PopBatch(buf)
+		} else if v, ok := l.TryPop(); ok {
+			buf[0], k = v, 1
 		}
-		if v != next {
-			t.Fatalf("out of order: got %d, want %d", v, next)
+		if k == 0 {
+			runtime.Gosched()
+			continue
 		}
-		next++
+		for i := 0; i < k; i++ {
+			if buf[i] != next {
+				t.Fatalf("out of order: got %d, want %d", buf[i], next)
+			}
+			next++
+		}
 	}
-	wg.Wait()
 	close(stop)
 	obs.Wait()
-	if next != n {
-		t.Fatalf("received %d items, want %d", next, n)
+	if !l.Empty() {
+		t.Fatal("lane not empty after consuming every value")
 	}
 }
 
 // TestQuickSequences drives random push/pop interleavings (single-threaded)
-// against a slice model.
+// against a slice model: every push is accepted, a push spills exactly when
+// the ring is full or an earlier spill is still undrained, and pops return
+// the model's head.
 func TestQuickSequences(t *testing.T) {
 	f := func(ops []bool, vals []int16) bool {
-		q := NewQueue[int16](8)
+		l := NewLane[int16](8)
 		var model []int16
+		spillsLeft := 0 // spilled values still in the lane (they are the model's tail)
 		vi := 0
 		for _, isPush := range ops {
 			if isPush && vi < len(vals) {
 				v := vals[vi]
 				vi++
-				if q.TryPush(v) {
-					model = append(model, v)
-				} else if len(model) != q.Cap() {
-					return false // rejected while model says not full
+				wantSpill := spillsLeft > 0 || len(model) == l.Cap()
+				if l.Push(v) != wantSpill {
+					return false
 				}
+				if wantSpill {
+					spillsLeft++
+				}
+				model = append(model, v)
 			} else {
-				got, ok := q.TryPop()
+				got, ok := l.TryPop()
 				if len(model) == 0 {
 					if ok {
 						return false
 					}
-				} else {
-					if !ok || got != model[0] {
-						return false
-					}
-					model = model[1:]
+					continue
+				}
+				if !ok || got != model[0] {
+					return false
+				}
+				model = model[1:]
+				if spillsLeft > len(model) {
+					spillsLeft = len(model)
 				}
 			}
 		}
@@ -412,93 +256,4 @@ func TestQuickSequences(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func BenchmarkPingPong(b *testing.B) {
-	q := NewQueue[int](1024)
-	done := make(chan struct{})
-	go func() {
-		for {
-			if _, ok := q.Pop(); !ok {
-				break
-			}
-		}
-		close(done)
-	}()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.Push(7)
-	}
-	q.Close()
-	<-done
-}
-
-// BenchmarkSPSC measures the raw substrate: single-value pushes vs batched
-// pushes of invocation-sized records, the numbers behind the delegation
-// hot-path design.
-func BenchmarkSPSC(b *testing.B) {
-	type invRecord struct {
-		kind uint8
-		set  uint64
-		a, b uintptr
-		fn   func(int)
-		done chan struct{}
-	}
-	b.Run("push-pop-value", func(b *testing.B) {
-		b.ReportAllocs()
-		q := NewQueue[invRecord](1024)
-		done := make(chan struct{})
-		go func() {
-			for {
-				if _, ok := q.Pop(); !ok {
-					break
-				}
-			}
-			close(done)
-		}()
-		rec := invRecord{set: 42}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Push(rec)
-		}
-		q.Close()
-		<-done
-	})
-	for _, batch := range []int{8, 64} {
-		b.Run(fmt.Sprintf("push-batch-%d", batch), func(b *testing.B) {
-			b.ReportAllocs()
-			q := NewQueue[invRecord](1024)
-			done := make(chan struct{})
-			go func() {
-				for {
-					if _, ok := q.Pop(); !ok {
-						break
-					}
-				}
-				close(done)
-			}()
-			buf := make([]invRecord, batch)
-			for i := range buf {
-				buf[i] = invRecord{set: uint64(i)}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				q.PushBatch(buf)
-			}
-			q.Close()
-			<-done
-		})
-	}
-	b.Run("len", func(b *testing.B) {
-		q := NewQueue[invRecord](1024)
-		for i := 0; i < 100; i++ {
-			q.Push(invRecord{})
-		}
-		b.ResetTimer()
-		n := 0
-		for i := 0; i < b.N; i++ {
-			n += q.Len()
-		}
-		_ = n
-	})
 }

@@ -79,9 +79,9 @@ func WithDelegates(n int) Option { return func(c *core.Config) { c.Delegates = n
 // WithMaxDelegates sets the pool capacity ceiling for Resize/Reconfigure
 // (default: the initial delegate count, i.e. a fixed pool). All pool
 // structures are pre-allocated to this capacity at Init so a live resize
-// never reallocates anything a running delegate indexes into; in recursive
-// mode the lane matrix costs O(MaxDelegates²) rings, so size the ceiling
-// to plausible load, not to the machine.
+// never reallocates anything a running delegate indexes into: one ring per
+// delegate for the program context's lane. Under Recursive a delegate's
+// lane into each delegate it delegates to is built on first use.
 func WithMaxDelegates(n int) Option { return func(c *core.Config) { c.MaxDelegates = n } }
 
 // WithVirtualDelegates sets the size of the static assignment table (§4).
@@ -91,19 +91,16 @@ func WithVirtualDelegates(n int) Option { return func(c *core.Config) { c.Virtua
 // (the paper's assignment ratio); their operations execute inline.
 func WithProgramShare(n int) Option { return func(c *core.Config) { c.ProgramShare = n } }
 
-// WithQueueCapacity sets the per-delegate communication queue capacity; in
-// recursive mode it sizes each producer lane's bounded ring (overflow
-// spills to an unbounded list, so small rings stay deadlock-free).
+// WithQueueCapacity sets the ring capacity of every lane: the program
+// context's queue to each delegate (a full ring makes the program wait)
+// and, under Recursive, each delegate-to-delegate lane (overflow spills to
+// an unbounded list, so small rings stay deadlock-free).
 func WithQueueCapacity(n int) Option { return func(c *core.Config) { c.QueueCapacity = n } }
 
-// WithDelegateBatch bounds the program context's delegation buffer: runs of
-// up to n consecutive delegations bound for the same busy delegate are
-// written to its queue as one batch with a single wake-up signal. n = 1
-// disables batching. Operations are never buffered while the target
-// delegate has no backlog, the buffer flushes as soon as the delegate is
-// observed drained, and every synchronization point (sync, barrier, epoch
-// transition, termination) flushes first — so a buffered operation waits at
-// most until the program context's next delegation or runtime call.
+// WithDelegateBatch has no effect: every delegation is written straight
+// into its delegate's lane.
+//
+// Deprecated: kept so existing callers compile.
 func WithDelegateBatch(n int) Option { return func(c *core.Config) { c.DelegateBatch = n } }
 
 // WithPolicy selects the delegate-assignment policy.
@@ -118,17 +115,16 @@ func WithPolicy(p SchedPolicy) Option { return func(c *core.Config) { c.Policy =
 // as the victim. Sets — never individual invocations — are the steal unit,
 // so operations within a set still execute in program order and the model's
 // determinism guarantee is unchanged; only the placement of whole sets
-// responds to load. Requires WithPolicy(LeastLoaded).
+// responds to load. Requires WithPolicy(LeastLoaded). Placement seeds from
+// the static assignment table, and the previous epoch's hottest sets are
+// pre-placed round-robin at BeginIsolation.
 //
-// In recursive mode (Recursive + WithPolicy(LeastLoaded)) the same
-// contract holds across many producer contexts: a set migrates only when
+// With Recursive the same contract holds across many producer contexts: a set migrates only when
 // every producer's newest operation on it has executed on the owner AND
 // every nested delegation the set's own operations issued has drained —
 // tracked precisely per set by an outbound ledger, so other sets'
 // in-flight traffic never blocks a migration (the multi-producer
-// quiescent handoff; see doc.go). Placement seeds from the static
-// assignment table, the previous epoch's hottest sets are pre-placed
-// round-robin at BeginIsolation, and the steal threshold and
+// quiescent handoff; see doc.go). The steal threshold and
 // thief-eligibility ratio adapt within each epoch to the observed
 // delegate-occupancy imbalance unless pinned with WithStealThreshold.
 func WithStealing() Option { return func(c *core.Config) { c.Stealing = true } }
@@ -167,12 +163,14 @@ func Checked() Option { return func(c *core.Config) { c.Checked = true } }
 // Runtime.TraceEvents and analyze them with the trace package.
 func WithTrace() Option { return func(c *core.Config) { c.Trace = true } }
 
-// Recursive enables recursive delegation, the extension the paper names as
+// Recursive permits recursive delegation, the extension the paper names as
 // future work (§4): delegated operations may delegate further operations
-// via Ctx.Delegate. A serialization set must receive delegations from only
-// one context per isolation epoch for the execution to stay deterministic
-// (under stealing, the engine may hand that producer role over at
-// quiescent points — the guarantee is unchanged). Incompatible with
+// via Ctx.Delegate. It does not change the engine or the cost of plain
+// delegation; it opens each delegate's own lanes as producers. A
+// serialization set must receive delegations from only one context per
+// isolation epoch for the execution to stay deterministic (Checked()
+// enforces it; under stealing, the engine may hand that producer role over
+// at quiescent points — the guarantee is unchanged). Incompatible with
 // WithProgramShare. Placement uses the paper's static policy by default;
 // combine with WithPolicy(LeastLoaded) and WithStealing for the
 // occupancy-aware whole-set rebalancer.
@@ -321,15 +319,16 @@ func (rt *Runtime) Poisoned(set uint64) bool { return rt.core.Poisoned(set) }
 // and safe from any goroutine.
 func (rt *Runtime) PoisonedCount() int { return rt.core.PoisonedCount() }
 
-// QueueDepths appends each delegate context's current backlog (operations
-// routed to it that have not finished executing) to dst and returns the
-// extended slice, one entry per delegate. Safe from any goroutine and
+// QueueDepths appends each active delegate context's current backlog
+// (operations routed to it that have not finished executing, the running
+// one included) to dst and returns the extended slice, one entry per
+// delegate. Safe from any goroutine and
 // allocation-free when dst has capacity, so a metrics scrape can sample it
 // every time.
 func (rt *Runtime) QueueDepths(dst []uint64) []uint64 { return rt.core.QueueDepths(dst) }
 
-// SchedDump renders the engine's scheduler ledgers — per-delegate queue
-// depths and executed counters — as a human-readable report, the same dump
+// SchedDump renders the engine's scheduler ledgers — per-delegate backlogs
+// and per-lane sent/executed counters — as a human-readable report, the same dump
 // the barrier watchdog attaches to a wedge panic. A draining server logs it
 // when its drain deadline expires to identify stragglers. Program context.
 func (rt *Runtime) SchedDump() string { return rt.core.DumpSchedState() }
